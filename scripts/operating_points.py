@@ -20,7 +20,7 @@ import warnings
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from diarkit import audio_io, cli, scoring
-from diarkit.diarizer import diarize
+from diarkit.diarizer import DiarizerConfig, diarize
 
 SWEEP_SEEDS = (0, 1, 2, 3)
 SWEEP_THREADS = ("1", "2")
@@ -38,7 +38,7 @@ def run_der(audio, reference, sad, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         feats, _ = cli.extract_session_features(audio, sad if cfg.mode == "oracle-sad" else None, cfg)
-        hyp, _ = diarize(feats, cfg.diarizer_config())
+        hyp, _ = diarize(feats, cfg.stage(DiarizerConfig))
     return scoring.score_der(reference, hyp).der
 
 

@@ -28,15 +28,17 @@ class UsageError(Exception):
 
 @dataclass
 class PipelineConfig:
-    """Every tunable of the pipeline in one flat namespace."""
+    """Every tunable of the pipeline in one flat namespace. Stage-owned
+    defaults are read from the stage configs; ``stage`` hands a field back
+    to the stage config that has a field of the same name."""
 
     sample_rate: int = 8000
-    pre_emphasis: float = 0.97
-    window_sec: float = 0.025
-    hop_sec: float = 0.010
-    n_fft: int = 256
-    n_mels: int = 26
-    n_coeffs: int = 13
+    pre_emphasis: float = features.MfccConfig.pre_emphasis
+    window_sec: float = features.MfccConfig.window_sec
+    hop_sec: float = features.MfccConfig.hop_sec
+    n_fft: int = features.MfccConfig.n_fft
+    n_mels: int = features.MfccConfig.n_mels
+    n_coeffs: int = features.MfccConfig.n_coeffs
     splice_left: int = 5
     splice_right: int = 5
     feature_kind: str = "bnf"  # bnf | mfcc91
@@ -48,61 +50,37 @@ class PipelineConfig:
     epochs: int = dae.TrainConfig.epochs
     batch_size: int = dae.TrainConfig.batch_size
     n_speakers: int = 4
-    initial_states: int = 12
-    min_duration_sec: float = 0.5
-    components_per_initial_segment: int = 2
-    self_loop_prob: float = 0.9
-    em_iters: int = 5
-    max_outer_iters: int = 30
+    initial_states: int = DiarizerConfig.initial_states
+    min_duration_sec: float = DiarizerConfig.min_duration_sec
+    components_per_initial_segment: int = DiarizerConfig.components_per_initial_segment
+    self_loop_prob: float = DiarizerConfig.self_loop_prob
+    em_iters: int = DiarizerConfig.em_iters
+    max_outer_iters: int = DiarizerConfig.max_outer_iters
     mode: str = "oracle-sad"  # oracle-sad | no-sad
-    seed: int = 0
+    seed: int = DiarizerConfig.seed
+
+    def stage(self, cls):
+        """A stage config (``MfccConfig``, ``TrainConfig``, ``DiarizerConfig``)
+        from the fields of the same name; the filterbank top and the no-SAD
+        switch are derived, not keys."""
+        values = dict(dataclasses.asdict(self), fmax_hz=self.sample_rate / 2.0, no_sad_mode=self.mode == "no-sad")
+        return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
 
     def validate(self):
         if self.feature_kind not in ("bnf", "mfcc91"):
             raise UsageError(f"unknown feature kind {self.feature_kind!r}")
         if self.mode not in ("oracle-sad", "no-sad"):
             raise UsageError(f"unknown mode {self.mode!r}")
-        if self.n_speakers < 2:
-            raise UsageError("need at least 2 speakers")
-
-    def mfcc_config(self) -> features.MfccConfig:
-        return features.MfccConfig(
-            pre_emphasis=self.pre_emphasis,
-            window_sec=self.window_sec,
-            hop_sec=self.hop_sec,
-            n_fft=self.n_fft,
-            n_mels=self.n_mels,
-            fmax_hz=self.sample_rate / 2.0,
-            n_coeffs=self.n_coeffs,
-        )
-
-    def train_config(self) -> dae.TrainConfig:
-        return dae.TrainConfig(
-            corruption_level=self.corruption_level,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            corruption_kind=self.corruption_kind,
-        )
-
-    def diarizer_config(self) -> DiarizerConfig:
-        return DiarizerConfig(
-            n_speakers=self.n_speakers,
-            initial_states=self.initial_states,
-            min_duration_sec=self.min_duration_sec,
-            components_per_initial_segment=self.components_per_initial_segment,
-            no_sad_mode=self.mode == "no-sad",
-            self_loop_prob=self.self_loop_prob,
-            em_iters=self.em_iters,
-            max_outer_iters=self.max_outer_iters,
-            seed=self.seed,
-        )
+        try:
+            for cls in (features.MfccConfig, dae.TrainConfig, DiarizerConfig):
+                self.stage(cls)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
 
 def load_config_file(path: str) -> dict:
     """key=value per line, '#' comments; unknown keys are rejected."""
-    known = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+    known = {f.name for f in dataclasses.fields(PipelineConfig)}
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -118,25 +96,23 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def build_pipeline_config(args, flag_map: dict) -> PipelineConfig:
+def build_pipeline_config(args) -> PipelineConfig:
     """Precedence: command line flags > config file > defaults (with
-    DIARKIT_SEED standing in for the default seed)."""
+    DIARKIT_SEED standing in for the default seed). Every pipeline flag
+    stores into the argparse ``dest`` named after its config key."""
     cfg = PipelineConfig()
-    file_keys: dict = {}
-    if getattr(args, "config", None):
-        file_keys = load_config_file(args.config)
-        for key, value in file_keys.items():
-            caster = type(getattr(cfg, key))
-            try:
-                setattr(cfg, key, caster(value) if caster is not bool else value.lower() in ("1", "true", "yes"))
-            except ValueError as exc:
-                raise UsageError(f"config key {key}: cannot parse {value!r}") from exc
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+    file_keys = load_config_file(args.config) if args.config else {}
+    for key, value in file_keys.items():
+        try:
+            setattr(cfg, key, type(getattr(cfg, key))(value))
+        except ValueError as exc:
+            raise UsageError(f"config key {key}: cannot parse {value!r}") from exc
+    for f in dataclasses.fields(cfg):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, key, value)
+            setattr(cfg, f.name, value)
     env_seed = os.environ.get("DIARKIT_SEED")
-    if env_seed is not None and getattr(args, "seed", None) is None and "seed" not in file_keys:
+    if env_seed is not None and args.seed is None and "seed" not in file_keys:
         cfg.seed = int(env_seed)
     cfg.validate()
     return cfg
@@ -177,7 +153,7 @@ def extract_session_features(
     speech mask attached in no-SAD mode (from the SAD file when given,
     otherwise from a low-energy heuristic).
     """
-    mcfg = cfg.mfcc_config()
+    mcfg = cfg.stage(features.MfccConfig)
     raw = [features.mfcc(ch, audio.sample_rate, mcfg) for ch in audio.channels]
     if sad_segments is not None:
         mask = features.speech_frame_mask(raw[0], sad_segments)
@@ -187,24 +163,14 @@ def extract_session_features(
         c0 = np.mean([f.data[:, 0] for f in raw], axis=0)
         mask = _heuristic_ns_mask(c0)
     normalized = [features.cmvn(f, mask) for f in raw]
-    combined = features.concat_streams(normalized)
-    combined = dataclasses.replace(combined, speech_mask=mask)
+    combined = dataclasses.replace(features.concat_streams(normalized), speech_mask=mask)
 
     if cfg.feature_kind == "mfcc91":
         staged = combined
     else:
         staged = features.splice(combined, cfg.splice_left, cfg.splice_right)
-
-    if cfg.mode == "no-sad":
-        staged = dataclasses.replace(staged, speech_mask=mask, frame_index=np.arange(staged.n_frames))
-    else:
-        kept = np.where(mask)[0]
-        staged = dataclasses.replace(
-            staged,
-            data=staged.data[kept],
-            speech_mask=np.ones(len(kept), dtype=bool),
-            frame_index=kept,
-        )
+    if cfg.mode != "no-sad":
+        staged = features.apply_sad(staged, sad_segments)
 
     if cfg.feature_kind == "mfcc91":
         return staged, None
@@ -212,10 +178,15 @@ def extract_session_features(
     if net is None:
         net = dae.pretrain_stack(
             staged,
-            cfg.train_config(),
+            cfg.stage(dae.TrainConfig),
             seed=cfg.seed,
             hidden_dim=combined.dim,
             bottleneck_dim=cfg.bottleneck_dim,
+        )
+    elif (net.input_dim, net.bottleneck_dim) != (staged.dim, cfg.bottleneck_dim):
+        raise UsageError(
+            f"stored network maps {net.input_dim} -> {net.bottleneck_dim} dims; "
+            f"this config needs {staged.dim} -> {cfg.bottleneck_dim}"
         )
     return dae.bottleneck(net, staged), net
 
@@ -246,31 +217,22 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_DIARIZE_FLAGS = {
-    "speakers": "n_speakers",
-    "min_dur": "min_duration_sec",
-    "initial_states": "initial_states",
-    "components": "components_per_initial_segment",
-    "features_kind": "feature_kind",
-    "epochs": "epochs",
-    "seed": "seed",
-}
-
-
-def cmd_diarize(args) -> int:
+def _load_inputs(args) -> tuple[PipelineConfig, audio_io.MultiStreamAudio, list[tuple] | None]:
+    """Input step of ``diarize`` and ``features``: the config, the session
+    audio at the configured rate, and the SAD segments if given."""
     for path in args.audio:
         if not os.path.exists(path):
             raise UsageError(f"audio file not found: {path}")
-    if args.sad is None and not args.no_sad:
+    if args.sad is None and args.mode is None:
         raise UsageError("either --sad FILE or --no-sad is required")
-    cfg = build_pipeline_config(args, _DIARIZE_FLAGS)
-    if args.no_sad:
-        cfg.mode = "no-sad"
-    cfg.validate()
-
+    cfg = build_pipeline_config(args)
     audio = audio_io.load_session(args.audio, target_rate=cfg.sample_rate)
     sad_segments = audio_io.read_segments(args.sad) if args.sad else None
+    return cfg, audio, sad_segments
 
+
+def cmd_diarize(args) -> int:
+    cfg, audio, sad_segments = _load_inputs(args)
     net = None
     if args.dae_model and os.path.exists(args.dae_model):
         net = dae.load_network(args.dae_model)
@@ -278,7 +240,7 @@ def cmd_diarize(args) -> int:
     if args.dae_model and net is not None and not os.path.exists(args.dae_model):
         dae.save_network(net, args.dae_model)
 
-    hyp, meta = diarize(feats, cfg.diarizer_config())
+    hyp, meta = diarize(feats, cfg.stage(DiarizerConfig))
     file_id = args.file_id or os.path.splitext(os.path.basename(args.out))[0]
     _atomic_write(args.out, scoring.rttm_format(hyp, file_id=file_id))
     meta_path = args.meta or (os.path.splitext(args.out)[0] + ".meta.jsonl")
@@ -322,18 +284,7 @@ def cmd_dominance(args) -> int:
 
 
 def cmd_features(args) -> int:
-    for path in args.audio:
-        if not os.path.exists(path):
-            raise UsageError(f"audio file not found: {path}")
-    if args.sad is None and not args.no_sad:
-        raise UsageError("either --sad FILE or --no-sad is required")
-    cfg = build_pipeline_config(args, {"seed": "seed", "epochs": "epochs"})
-    if args.no_sad:
-        cfg.mode = "no-sad"
-    if args.stage == "mfcc91":
-        cfg.feature_kind = "mfcc91"
-    audio = audio_io.load_session(args.audio, target_rate=cfg.sample_rate)
-    sad_segments = audio_io.read_segments(args.sad) if args.sad else None
+    cfg, audio, sad_segments = _load_inputs(args)
     feats, _ = extract_session_features(audio, sad_segments, cfg)
     features.write_features(args.out, feats)
     print(f"wrote {args.out}: {feats.n_frames} frames x {feats.dim} dims")
@@ -361,12 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diarize", help="run the full diarization pipeline")
     p.add_argument("audio", nargs="+", help="one mono WAV per channel (or one multi-channel WAV)")
     p.add_argument("--sad", default=None, help="speech activity segments file")
-    p.add_argument("--no-sad", action="store_true", help="model non-speech as an extra state")
-    p.add_argument("--speakers", type=int, default=None, help="number of speakers (side information)")
-    p.add_argument("--min-dur", type=float, default=None, help="minimum turn duration in seconds")
-    p.add_argument("--initial-states", type=int, default=None)
-    p.add_argument("--components", type=int, default=None, help="GMM components per initial segment")
-    p.add_argument("--features", dest="features_kind", choices=["bnf", "mfcc91"], default=None)
+    p.add_argument(
+        "--no-sad", dest="mode", action="store_const", const="no-sad", help="model non-speech as an extra state"
+    )
+    p.add_argument("--speakers", dest="n_speakers", type=int, help="number of speakers (side information)")
+    p.add_argument("--min-dur", dest="min_duration_sec", type=float, help="minimum turn duration in seconds")
+    p.add_argument("--initial-states", type=int)
+    p.add_argument(
+        "--components", dest="components_per_initial_segment", type=int, help="GMM components per initial segment"
+    )
+    p.add_argument("--features", dest="feature_kind", choices=["bnf", "mfcc91"])
     p.add_argument("--epochs", type=int, default=None, help="training epochs per autoencoder layer")
     p.add_argument("--dae-model", default=None, help="reuse (or store) a trained network here")
     p.add_argument("--config", default=None, help="key=value config file")
@@ -394,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="dump staged features as flat binary")
     p.add_argument("audio", nargs="+")
     p.add_argument("--sad", default=None)
-    p.add_argument("--no-sad", action="store_true")
-    p.add_argument("--stage", choices=["bnf", "mfcc91"], default="bnf")
+    p.add_argument("--no-sad", dest="mode", action="store_const", const="no-sad")
+    p.add_argument("--stage", dest="feature_kind", choices=["bnf", "mfcc91"])
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .segments import NON_SPEECH_LABEL, DiarizationHypothesis
+from .segments import NON_SPEECH_LABEL, ROUNDING_TOL, DiarizationHypothesis
 
 
 @dataclass
@@ -53,11 +53,6 @@ class DerBreakdown:
         )
 
 
-# RTTM stores times with 3 decimals, so adjacent segments can disagree by
-# a rounding step; anything under this is clipped, anything over is an error.
-_OVERLAP_TOL = 2e-3
-
-
 def _as_segments(obj) -> list[tuple[float, float, str]]:
     segs = obj.segments if isinstance(obj, DiarizationHypothesis) else list(obj)
     out = []
@@ -67,8 +62,9 @@ def _as_segments(obj) -> list[tuple[float, float, str]]:
             raise ValueError(f"segment ({start}, {end}) has non-positive duration")
         if label == NON_SPEECH_LABEL:
             continue
+        # An overlap within the RTTM rounding step is clipped; a larger one is an error.
         if out and start < out[-1][1]:
-            if start < out[-1][1] - _OVERLAP_TOL:
+            if start < out[-1][1] - ROUNDING_TOL:
                 raise ValueError(f"overlapping segments at t={start}; one label per instant required")
             start = out[-1][1]
             if end <= start:
@@ -133,15 +129,18 @@ def score_der(reference, hypothesis, collar_sec: float = 0.0) -> DerBreakdown:
     for i in np.where(both)[0]:
         overlap[ref_of[ref_idx[i]], hyp_of[hyp_idx[i]]] += durs[i]
 
+    # Speaker error is the overlap the mapping leaves uncredited. Summing the
+    # unmatched cells (rather than subtracting the credited time from the
+    # total) makes a perfect hypothesis score exactly 0.
     mapping: dict[str, str] = {}
-    credited = 0.0
+    unmatched = np.ones(overlap.shape, dtype=bool)
     if overlap.size:
         rows, cols = linear_sum_assignment(-overlap)
+        unmatched[rows, cols] = False
         for r, c in zip(rows, cols):
             if overlap[r, c] > 0:
                 mapping[hyp_names[c]] = ref_names[r]
-                credited += overlap[r, c]
-    err = float(both @ durs - credited)
+    err = float(overlap[unmatched].sum())
     return DerBreakdown(fa_sec=fa, miss_sec=miss, err_sec=err, total_sec=total, mapping=mapping)
 
 

@@ -47,14 +47,14 @@ def end_to_end():
         t0 = time.time()
         cfg = cli.PipelineConfig(n_speakers=4, min_duration_sec=0.5, seed=PIPELINE_SEED)
         feats, _ = cli.extract_session_features(audio, sad, cfg)
-        hyp, meta = diarize(feats, cfg.diarizer_config())
+        hyp, meta = diarize(feats, cfg.stage(DiarizerConfig))
         results["oracle_seconds"] = synth_seconds + (time.time() - t0)
         results["oracle"] = scoring.score_der(reference, hyp)
         results["oracle_meta"] = meta
 
         ns_cfg = cli.PipelineConfig(n_speakers=4, min_duration_sec=0.5, seed=PIPELINE_SEED, mode="no-sad")
         ns_feats, _ = cli.extract_session_features(audio, None, ns_cfg)
-        ns_hyp, ns_meta = diarize(ns_feats, ns_cfg.diarizer_config())
+        ns_hyp, ns_meta = diarize(ns_feats, ns_cfg.stage(DiarizerConfig))
         results["no_sad"] = scoring.score_der(reference, ns_hyp)
         results["no_sad_meta"] = ns_meta
     return results

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from diarkit import audio_io, cli, scoring
+from diarkit import audio_io, cli, dae, scoring
 from diarkit.audio_io import SessionScript, VoiceSpec
 
 
@@ -260,3 +261,100 @@ def test_env_seed_override(script_file, tmp_path, monkeypatch):
     assert cli.main(["synth", script_file, b, "--channels", "1"]) == 0
     with open(os.path.join(a, "ch0.wav"), "rb") as f1, open(os.path.join(b, "ch0.wav"), "rb") as f2:
         assert f1.read() != f2.read()
+
+
+# ------------------------------------------------------------ config contract
+
+CONFIG_KEYS = {
+    "sample_rate", "pre_emphasis", "window_sec", "hop_sec", "n_fft", "n_mels", "n_coeffs",
+    "splice_left", "splice_right", "feature_kind", "bottleneck_dim",
+    "corruption_level", "corruption_kind", "learning_rate", "momentum", "epochs", "batch_size",
+    "n_speakers", "initial_states", "min_duration_sec", "components_per_initial_segment",
+    "self_loop_prob", "em_iters", "max_outer_iters", "mode", "seed",
+}  # fmt: skip
+
+# Flags of the pipeline subcommands that name inputs and outputs, not keys.
+IO_DESTS = {"help", "audio", "sad", "config", "dae_model", "file_id", "meta", "out"}
+
+
+def _subparser(name):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return sub.choices[name]
+
+
+def _parse(*argv):
+    return cli.build_pipeline_config(cli.build_parser().parse_args(list(argv)))
+
+
+def test_config_keys_are_the_flat_namespace():
+    assert {f.name for f in dataclasses.fields(cli.PipelineConfig)} == CONFIG_KEYS
+
+
+@pytest.mark.parametrize("command", ["diarize", "features"])
+def test_every_pipeline_flag_dest_is_a_config_key(command):
+    for action in _subparser(command)._actions:
+        if action.dest not in IO_DESTS:
+            assert action.dest in CONFIG_KEYS, action.option_strings
+
+
+def test_flags_set_their_keys(monkeypatch):
+    monkeypatch.delenv("DIARKIT_SEED", raising=False)
+    cfg = _parse(
+        "diarize", "a.wav", "--no-sad", "--speakers", "3", "--min-dur", "0.7", "--initial-states", "10",
+        "--components", "3", "--features", "mfcc91", "--epochs", "2", "--seed", "5", "--out", "x.rttm",
+    )  # fmt: skip
+    assert (cfg.mode, cfg.n_speakers, cfg.min_duration_sec, cfg.initial_states) == ("no-sad", 3, 0.7, 10)
+    assert (cfg.components_per_initial_segment, cfg.feature_kind, cfg.epochs, cfg.seed) == (3, "mfcc91", 2, 5)
+    assert _parse("diarize", "a.wav", "--out", "x.rttm") == cli.PipelineConfig()
+
+
+def test_stage_flag_beats_config_file(tmp_path):
+    cfg_path = str(tmp_path / "run.cfg")
+    with open(cfg_path, "w") as fh:
+        fh.write("feature_kind = mfcc91\n")
+    assert _parse("features", "a.wav", "--config", cfg_path, "--out", "f.bin").feature_kind == "mfcc91"
+    assert _parse("features", "a.wav", "--config", cfg_path, "--stage", "bnf", "--out", "f.bin").feature_kind == "bnf"
+
+
+@pytest.mark.parametrize("line", ["learning_rate = -1", "self_loop_prob = 1.5", "min_duration_sec = 0"])
+def test_invalid_stage_value_in_config_exits_2(tmp_path, capsys, line):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(line + "\n")
+    wav = tmp_path / "never_read.wav"
+    wav.write_bytes(b"")  # validation must come before the audio is loaded
+    out = tmp_path / "x.rttm"
+    rc = cli.main(["diarize", str(wav), "--sad", str(wav), "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims", [(286, 21), (100, 8)], ids=["bottleneck", "input"])
+def test_dae_model_must_fit_the_config(synth_dir, tmp_path, capsys, dims):
+    # Two channels of 13 MFCCs spliced +-5 frames: the config needs 286 -> 8.
+    model = str(tmp_path / "net.sdae")
+    dae.save_network(dae.random_network(dims[0], 26, dims[1], seed=0), model)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("bottleneck_dim = 8\n")
+    out = tmp_path / "hyp.rttm"
+    rc = cli.main(
+        [
+            "diarize",
+            os.path.join(synth_dir, "ch0.wav"),
+            os.path.join(synth_dir, "ch1.wav"),
+            "--sad",
+            os.path.join(synth_dir, "sad.txt"),
+            "--speakers",
+            "2",
+            "--dae-model",
+            model,
+            "--config",
+            str(cfg_path),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 2
+    assert "stored network" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "hyp.meta.jsonl").exists()

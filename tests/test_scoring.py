@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diarkit.audio_io import demo_script
 from diarkit.scoring import rttm_read, rttm_write, score_der
 from diarkit.segments import DiarizationHypothesis
 
@@ -15,6 +16,17 @@ def test_identity_hypothesis_scores_zero():
     assert out.der == 0.0
     assert out.fa_sec == out.miss_sec == out.err_sec == 0.0
     assert out.total_sec == 20.0
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_long_reference_self_scores_exactly_zero(seed):
+    # 30 min of unevenly shared 4-speaker turns: subtracting the credited
+    # time from the total left +-1.4e-16 of speaker error on 8 of these seeds.
+    script = demo_script(4, 1800.0, seed=seed, shares=[0.4, 0.3, 0.2, 0.1])
+    ref = [(start, start + dur, f"spk{spk}") for spk, start, dur in script.events]
+    out = score_der(ref, ref)
+    assert out.err_sec == 0.0
+    assert out.der == 0.0
 
 
 def test_renamed_labels_score_zero():
