@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.io import wavfile
 
-from .segments import DiarizationHypothesis, merge_contiguous
+from .segments import DiarizationHypothesis, merge_contiguous, validate_segments
 
 DEFAULT_RATE = 8000
 HOP_SEC = 0.010
@@ -370,16 +370,20 @@ def read_segments(path: str) -> list[tuple]:
     """Parse a segments file: ``start_sec end_sec [label]`` per line,
     ``#`` comments; RTTM files are detected and parsed as labeled segments.
 
-    Returns ``(start, end)`` or ``(start, end, label)`` tuples, sorted and
-    validated non-overlapping (labeled entries only).
+    Returns sorted ``(start, end)`` tuples, or, for RTTM and for files whose
+    every line carries a label, ``(start, end, label)`` tuples checked and
+    clipped by ``segments.validate_segments``.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     body = [ln.strip() for ln in lines]
     if any(ln.startswith("SPEAKER") for ln in body if ln):
+        # Imported here, not at the top: scoring loads scipy.optimize, which
+        # would make every import of this module several times slower, and
+        # synthesis and WAV I/O never need it.
         from . import scoring
 
-        return [tuple(seg) for seg in scoring.rttm_read(path)]
+        return validate_segments(scoring.rttm_read(path))
 
     out = []
     for lineno, line in enumerate(body, start=1):
@@ -395,12 +399,10 @@ def read_segments(path: str) -> list[tuple]:
         if end <= start:
             raise ValueError(f"{path}: end before start at line {lineno}")
         out.append((start, end, parts[2]) if len(parts) == 3 else (start, end))
-    out.sort(key=lambda s: s[0])
-    labeled = any(len(s) == 3 for s in out)
-    for a, b in zip(out, out[1:]):
-        if b[0] < a[1] - 1e-9 and labeled:
-            raise ValueError(f"{path}: overlapping reference segments at t={b[0]}")
-    return out
+    kinds = {len(s) for s in out}
+    if kinds == {2, 3}:
+        raise ValueError(f"{path}: some segment lines carry a label and some do not")
+    return validate_segments(out) if 3 in kinds else sorted(out)
 
 
 def write_segments(path: str, segments: list[tuple]):

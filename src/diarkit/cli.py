@@ -20,6 +20,7 @@ import numpy as np
 from . import audio_io, dae, dominance, features, scoring, wpe
 from .diarizer import DiarizerConfig, diarize
 from .features import FeatureMatrix
+from .segments import DiarizationHypothesis
 
 
 class UsageError(Exception):
@@ -71,6 +72,9 @@ class PipelineConfig:
             raise UsageError(f"unknown feature kind {self.feature_kind!r}")
         if self.mode not in ("oracle-sad", "no-sad"):
             raise UsageError(f"unknown mode {self.mode!r}")
+        for key, low in (("sample_rate", 1), ("bottleneck_dim", 1), ("splice_left", 0), ("splice_right", 0)):
+            if getattr(self, key) < low:
+                raise UsageError(f"{key} must be >= {low}, got {getattr(self, key)}")
         try:
             for cls in (features.MfccConfig, dae.TrainConfig, DiarizerConfig):
                 self.stage(cls)
@@ -96,6 +100,17 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+def _env_seed(default: int) -> int:
+    """``DIARKIT_SEED`` as an integer, or ``default`` when it is unset."""
+    value = os.environ.get("DIARKIT_SEED")
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise UsageError(f"DIARKIT_SEED must be an integer, got {value!r}") from exc
+
+
 def build_pipeline_config(args) -> PipelineConfig:
     """Precedence: command line flags > config file > defaults (with
     DIARKIT_SEED standing in for the default seed). Every pipeline flag
@@ -111,9 +126,8 @@ def build_pipeline_config(args) -> PipelineConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
-    env_seed = os.environ.get("DIARKIT_SEED")
-    if env_seed is not None and args.seed is None and "seed" not in file_keys:
-        cfg.seed = int(env_seed)
+    if args.seed is None and "seed" not in file_keys:
+        cfg.seed = _env_seed(cfg.seed)
     cfg.validate()
     return cfg
 
@@ -199,7 +213,7 @@ def cmd_synth(args) -> int:
         raise UsageError(f"script file not found: {args.script}")
     with open(args.script, encoding="utf-8") as fh:
         script = audio_io.SessionScript.from_json(fh.read())
-    seed = args.seed if args.seed is not None else int(os.environ.get("DIARKIT_SEED", 0))
+    seed = args.seed if args.seed is not None else _env_seed(0)
     channels = args.channels
     delays = [args.max_delay_ms * c / max(1, channels - 1) for c in range(channels)]
     gains = [1.0 - 0.5 * c / max(1, channels - 1) for c in range(channels)]
@@ -269,11 +283,8 @@ def cmd_dominance(args) -> int:
     for path in (args.hyp, args.audio):
         if not os.path.exists(path):
             raise UsageError(f"file not found: {path}")
-    hyp_segments = scoring.rttm_read(args.hyp)
+    hyp = DiarizationHypothesis(scoring.rttm_read(args.hyp))
     audio = audio_io.load_session([args.audio], target_rate=args.rate)
-    from .segments import DiarizationHypothesis
-
-    hyp = DiarizationHypothesis(hyp_segments)
     energies = wpe.segment_energy(audio.channels[0], hyp.segments, sample_rate=audio.sample_rate)
     report = dominance.dominance_report(
         hyp, energies, segment_len_sec=args.segment_len, session_duration_sec=audio.duration_sec

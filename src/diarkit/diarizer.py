@@ -246,7 +246,9 @@ def _segments_from_labels(
     names: list[str],
 ) -> list[tuple[float, float, str]]:
     """Turn per-frame labels into time segments, splitting runs wherever the
-    original frame index jumps (removed non-speech)."""
+    original frame index jumps (removed non-speech). A run ends at the start
+    time of the frame after its last, computed the same way as a start, so
+    adjacent runs share one boundary value and never overlap."""
     half = window_sec / 2.0
     segs = []
     run_start = 0
@@ -254,7 +256,7 @@ def _segments_from_labels(
         boundary = i == len(labels) or labels[i] != labels[i - 1] or frame_index[i] != frame_index[i - 1] + 1
         if boundary:
             t0 = frame_index[run_start] * hop_sec + half - hop_sec / 2.0
-            t1 = frame_index[i - 1] * hop_sec + half + hop_sec / 2.0
+            t1 = (frame_index[i - 1] + 1) * hop_sec + half - hop_sec / 2.0
             segs.append((max(0.0, t0), t1, names[labels[run_start]]))
             run_start = i
     return merge_contiguous(segs)

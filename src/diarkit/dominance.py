@@ -22,22 +22,6 @@ FEATURE_NAMES = ("turns", "spts", "spens")
 
 
 @dataclass
-class SpeakerSegmentFeatures:
-    segment_index: int
-    speaker: str
-    turns: int
-    spts: float
-    spens: float
-
-
-@dataclass
-class CombVector:
-    p: np.ndarray  # combined feature per speaker, window order
-    pca_axis: np.ndarray  # unit 3-vector
-    eigenvalues: np.ndarray  # descending
-
-
-@dataclass
 class DominanceReport:
     speakers: list[str]
     segment_len_sec: float
@@ -69,26 +53,25 @@ def extract_features(
     energies: np.ndarray,
     segment_len_sec: float = DEFAULT_SEGMENT_LEN_SEC,
     session_duration_sec: float | None = None,
-) -> list[SpeakerSegmentFeatures]:
+) -> tuple[list[str], np.ndarray]:
     """Per-window, per-speaker turn counts, speaking time, and energy.
 
-    ``energies`` holds one wavelet-packet band energy per hypothesis
-    segment. A segment straddling a window boundary contributes time and
-    energy pro-rata and one turn to each window it touches. Non-speech
-    segments are skipped.
+    Returns the sorted speaker labels and a ``(windows, speakers, 3)`` array
+    of cues in ``FEATURE_NAMES`` order. ``energies`` holds one
+    wavelet-packet band energy per hypothesis segment. A segment straddling
+    a window boundary contributes time and energy pro-rata and one turn to
+    each window it touches. Non-speech segments are skipped.
     """
     segs = hyp.segments
-    if not segs:
-        raise ValueError("empty hypothesis")
+    speakers = sorted({lab for _, _, lab in segs if lab != NON_SPEECH_LABEL})
+    if not speakers:
+        raise ValueError("empty hypothesis: no speaker segments")
     if len(energies) != len(segs):
         raise ValueError("need one energy value per hypothesis segment")
     duration = session_duration_sec if session_duration_sec is not None else segs[-1][1]
     n_windows = max(1, math.ceil(duration / segment_len_sec))
-    speakers = sorted({lab for _, _, lab in segs if lab != NON_SPEECH_LABEL})
 
-    turns = np.zeros((n_windows, len(speakers)), dtype=np.int64)
-    spts = np.zeros((n_windows, len(speakers)))
-    spens = np.zeros((n_windows, len(speakers)))
+    cues = np.zeros((n_windows, len(speakers), len(FEATURE_NAMES)))
     for (start, end, label), energy in zip(segs, energies):
         if label == NON_SPEECH_LABEL:
             continue
@@ -101,43 +84,28 @@ def extract_features(
             if hi <= lo:
                 continue
             frac = (hi - lo) / (end - start)
-            turns[w, s] += 1
-            spts[w, s] += hi - lo
-            spens[w, s] += float(energy) * frac
-
-    table = []
-    for w in range(n_windows):
-        for s, spk in enumerate(speakers):
-            table.append(
-                SpeakerSegmentFeatures(
-                    segment_index=w, speaker=spk, turns=int(turns[w, s]), spts=float(spts[w, s]), spens=float(spens[w, s])
-                )
-            )
-    return table
+            cues[w, s] += (1.0, hi - lo, float(energy) * frac)
+    return speakers, cues
 
 
-def normalize_and_combine(table: list[SpeakerSegmentFeatures]) -> list[CombVector]:
+def normalize_and_combine(cues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Session-level z-scoring of the three cues, then projection onto the
     leading principal axis.
 
-    The axis sign is fixed so the speaking-time loading is positive (turn
-    loading decides ties), keeping "larger means more dominant" stable.
+    Takes the ``(windows, speakers, 3)`` cues of ``extract_features`` and
+    returns the ``(windows, speakers)`` combined feature, the unit axis and
+    the eigenvalues in descending order. The axis sign is fixed so the
+    speaking-time loading is positive (turn loading decides ties), keeping
+    "larger means more dominant" stable.
     """
-    speakers = sorted({r.speaker for r in table})
-    n_windows = max(r.segment_index for r in table) + 1
-    raw = np.zeros((n_windows, len(speakers), 3))
-    for r in table:
-        raw[r.segment_index, speakers.index(r.speaker)] = (r.turns, r.spts, r.spens)
-    rows = raw.reshape(-1, 3)
-
+    n_windows, n_speakers, _ = cues.shape
+    rows = cues.reshape(-1, 3)
     mean = rows.mean(axis=0)
     var = rows.var(axis=0)
-    if len(speakers) == 1 and (var < 1e-24).all():
+    if n_speakers == 1 and (var < 1e-24).all():
         # one speaker, no variation: combined feature is all zeros and the
         # softmax below still yields probability one
-        axis = np.array([0.0, 1.0, 0.0])
-        eig = np.zeros(3)
-        return [CombVector(p=np.zeros(len(speakers)), pca_axis=axis, eigenvalues=eig) for _ in range(n_windows)]
+        return np.zeros((n_windows, 1)), np.array([0.0, 1.0, 0.0]), np.zeros(3)
     if len(rows) < 2 or (var < 1e-24).all():
         raise ValueError("degenerate session: dominance features carry no variance")
     dead = var < 1e-24
@@ -152,18 +120,15 @@ def normalize_and_combine(table: list[SpeakerSegmentFeatures]) -> list[CombVecto
     axis = eigvecs[:, order[0]]
     if axis[1] < 0 or (axis[1] == 0 and axis[0] < 0):
         axis = -axis
-
-    p = (z @ axis).reshape(n_windows, len(speakers))
-    return [CombVector(p=p[w], pca_axis=axis, eigenvalues=eigvals) for w in range(n_windows)]
+    return (z @ axis).reshape(n_windows, n_speakers), axis, eigvals
 
 
-def dominance_scores(comb: CombVector | np.ndarray) -> np.ndarray:
-    """Softmax over the window's combined features, max-subtracted so very
-    large values cannot overflow."""
-    p = comb.p if isinstance(comb, CombVector) else np.asarray(comb, dtype=np.float64)
-    shifted = p - p.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+def dominance_scores(comb: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis (the speakers of a window), max-subtracted
+    so very large values cannot overflow."""
+    p = np.asarray(comb, dtype=np.float64)
+    e = np.exp(p - p.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def dominance_report(
@@ -173,27 +138,16 @@ def dominance_report(
     session_duration_sec: float | None = None,
 ) -> DominanceReport:
     """End-to-end: features, combination, and softmax scores per window."""
-    table = extract_features(hyp, energies, segment_len_sec, session_duration_sec)
-    combs = normalize_and_combine(table)
-    speakers = sorted({r.speaker for r in table})
-    n_windows = len(combs)
-    shape = (n_windows, len(speakers))
-    turns, spts, spens = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    for r in table:
-        s = speakers.index(r.speaker)
-        turns[r.segment_index, s] = r.turns
-        spts[r.segment_index, s] = r.spts
-        spens[r.segment_index, s] = r.spens
-    comb = np.vstack([c.p for c in combs])
-    ds = np.vstack([dominance_scores(c) for c in combs])
+    speakers, cues = extract_features(hyp, energies, segment_len_sec, session_duration_sec)
+    comb, axis, eigvals = normalize_and_combine(cues)
     return DominanceReport(
         speakers=speakers,
         segment_len_sec=segment_len_sec,
-        turns=turns,
-        spts=spts,
-        spens=spens,
+        turns=cues[..., 0],
+        spts=cues[..., 1],
+        spens=cues[..., 2],
         comb=comb,
-        ds=ds,
-        pca_axis=combs[0].pca_axis,
-        eigenvalues=combs[0].eigenvalues,
+        ds=dominance_scores(comb),
+        pca_axis=axis,
+        eigenvalues=eigvals,
     )

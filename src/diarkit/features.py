@@ -159,17 +159,13 @@ def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple]) -> np.ndarray
     return mask
 
 
-def apply_sad(f: FeatureMatrix, sad_segments: list[tuple], keep_all: bool = False) -> FeatureMatrix:
-    """Oracle mode (default) keeps speech frames only, with an index map back
-    to original frame times; ``keep_all`` keeps every frame and just attaches
-    the mask so non-speech can be modeled downstream.
-    """
+def apply_sad(f: FeatureMatrix, sad_segments: list[tuple]) -> FeatureMatrix:
+    """Keep speech frames only, with an index map back to original frame
+    times."""
     mask = speech_frame_mask(f, sad_segments)
     if not mask.any():
         raise ValueError("SAD segments select no frames")
     base = f.frame_index if f.frame_index is not None else np.arange(f.n_frames)
-    if keep_all:
-        return replace(f, speech_mask=mask, frame_index=base)
     kept = np.where(mask)[0]
     return replace(f, data=f.data[kept], speech_mask=np.ones(len(kept), dtype=bool), frame_index=base[kept])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .segments import NON_SPEECH_LABEL, ROUNDING_TOL, DiarizationHypothesis
+from .segments import NON_SPEECH_LABEL, DiarizationHypothesis, validate_segments
 
 
 @dataclass
@@ -53,24 +53,9 @@ class DerBreakdown:
         )
 
 
-def _as_segments(obj) -> list[tuple[float, float, str]]:
-    segs = obj.segments if isinstance(obj, DiarizationHypothesis) else list(obj)
-    out = []
-    for seg in sorted(segs, key=lambda s: (s[0], s[1])):
-        start, end, label = float(seg[0]), float(seg[1]), str(seg[2])
-        if end <= start:
-            raise ValueError(f"segment ({start}, {end}) has non-positive duration")
-        if label == NON_SPEECH_LABEL:
-            continue
-        # An overlap within the RTTM rounding step is clipped; a larger one is an error.
-        if out and start < out[-1][1]:
-            if start < out[-1][1] - ROUNDING_TOL:
-                raise ValueError(f"overlapping segments at t={start}; one label per instant required")
-            start = out[-1][1]
-            if end <= start:
-                continue
-        out.append((start, end, label))
-    return out
+def _speech_segments(obj) -> list[tuple[float, float, str]]:
+    segs = obj.segments if isinstance(obj, DiarizationHypothesis) else obj
+    return [seg for seg in validate_segments(segs) if seg[2] != NON_SPEECH_LABEL]
 
 
 def _labels_at(segs, points):
@@ -93,8 +78,8 @@ def score_der(reference, hypothesis, collar_sec: float = 0.0) -> DerBreakdown:
     ``collar_sec`` excludes that much on both sides of every reference
     boundary from all components, including the total.
     """
-    ref = _as_segments(reference)
-    hyp = _as_segments(hypothesis)
+    ref = _speech_segments(reference)
+    hyp = _speech_segments(hypothesis)
     if not ref:
         raise ValueError("empty reference speech: DER undefined")
 

@@ -18,6 +18,27 @@ CONTIGUITY_EPS = 1e-6
 ROUNDING_TOL = 2e-3
 
 
+def validate_segments(segments) -> list[tuple[float, float, str]]:
+    """The one overlap policy for labelled segments (segments files, RTTM,
+    hypotheses): coerce to ``(float, float, str)``, sort by ``(start, end)``,
+    reject ``end <= start``, and clip an overlap of at most ``ROUNDING_TOL``
+    so the later segment starts at the earlier one's end (dropping it if
+    nothing is left). A larger overlap raises ``ValueError``.
+    """
+    out: list[tuple[float, float, str]] = []
+    for start, end, label in sorted((float(s), float(e), str(lab)) for s, e, lab in segments):
+        if end <= start:
+            raise ValueError(f"segment ({start}, {end}, {label}) has non-positive duration")
+        if out and start < out[-1][1]:
+            if start < out[-1][1] - ROUNDING_TOL:
+                raise ValueError(f"segment ({start}, {end}, {label}) overlaps the one ending at {out[-1][1]}")
+            start = out[-1][1]
+            if end <= start:
+                continue
+        out.append((start, end, label))
+    return out
+
+
 @dataclass
 class DiarizationHypothesis:
     """Ordered, non-overlapping labeled segments covering the speech region."""
@@ -25,17 +46,7 @@ class DiarizationHypothesis:
     segments: list[tuple[float, float, str]] = field(default_factory=list)
 
     def __post_init__(self):
-        self.segments = [(float(s), float(e), str(lab)) for s, e, lab in self.segments]
-        self.validate()
-
-    def validate(self):
-        prev_end = None
-        for i, (start, end, _) in enumerate(self.segments):
-            if end <= start:
-                raise ValueError(f"segment {i}: end {end} <= start {start}")
-            if prev_end is not None and start < prev_end - ROUNDING_TOL:
-                raise ValueError(f"segment {i} overlaps previous (start {start} < end {prev_end})")
-            prev_end = end
+        self.segments = validate_segments(self.segments)
 
     @property
     def labels(self) -> list[str]:
@@ -49,9 +60,6 @@ class DiarizationHypothesis:
     @property
     def speakers(self) -> list[str]:
         return [lab for lab in self.labels if lab != NON_SPEECH_LABEL]
-
-    def speech_segments(self) -> list[tuple[float, float, str]]:
-        return [seg for seg in self.segments if seg[2] != NON_SPEECH_LABEL]
 
     def duration(self) -> float:
         return self.segments[-1][1] if self.segments else 0.0

@@ -180,6 +180,24 @@ def test_dominance_alternating_fixture(tmp_path, capsys):
     assert abs(ds[0] - ds[1]) < 0.02
 
 
+def test_dominance_clips_rttm_rounding_overlaps(tmp_path):
+    # RTTM's 3 decimals make b start 1 ms before a ends; that millisecond is
+    # a's, so b speaks 0.999 s and the two speak 3 s in total.
+    wav = str(tmp_path / "ch0.wav")
+    audio_io.write_wav(wav, np.random.default_rng(0).normal(0.0, 0.1, 4 * 8000), 8000)
+    hyp_path = tmp_path / "hyp.rttm"
+    hyp_path.write_text(
+        "SPEAKER s 1 0.000 1.001 <NA> <NA> a <NA> <NA>\n"
+        "SPEAKER s 1 1.000 1.000 <NA> <NA> b <NA> <NA>\n"
+        "SPEAKER s 1 2.000 1.000 <NA> <NA> a <NA> <NA>\n"
+    )
+    csv_path = str(tmp_path / "dom.csv")
+    assert cli.main(["dominance", "--hyp", str(hyp_path), "--audio", wav, "--out", csv_path]) == 0
+    rows = [line.split(",") for line in open(csv_path).read().split()[1:]]
+    spts = {row[1]: float(row[3]) for row in rows}
+    assert spts == {"a": 2.001, "b": 0.999}
+
+
 def test_features_dump_command(synth_dir, tmp_path):
     from diarkit import features as feat_mod
 
@@ -252,6 +270,19 @@ def test_config_unknown_key_rejected(synth_dir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["synth", "diarize"])
+def test_malformed_env_seed_exits_2(script_file, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("DIARKIT_SEED", "abc")
+    wav = tmp_path / "never_read.wav"
+    wav.write_bytes(b"")
+    argv = {
+        "synth": ["synth", script_file, str(tmp_path / "out")],
+        "diarize": ["diarize", str(wav), "--sad", str(wav), "--out", str(tmp_path / "x.rttm")],
+    }[command]
+    assert cli.main(argv) == 2
+    assert "DIARKIT_SEED" in capsys.readouterr().err
+
+
 def test_env_seed_override(script_file, tmp_path, monkeypatch):
     monkeypatch.setenv("DIARKIT_SEED", "77")
     a = str(tmp_path / "a")
@@ -317,7 +348,13 @@ def test_stage_flag_beats_config_file(tmp_path):
     assert _parse("features", "a.wav", "--config", cfg_path, "--stage", "bnf", "--out", "f.bin").feature_kind == "bnf"
 
 
-@pytest.mark.parametrize("line", ["learning_rate = -1", "self_loop_prob = 1.5", "min_duration_sec = 0"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "learning_rate = -1", "self_loop_prob = 1.5", "min_duration_sec = 0",
+        "sample_rate = 0", "bottleneck_dim = 0", "splice_left = -7", "splice_right = -1",
+    ],
+)  # fmt: skip
 def test_invalid_stage_value_in_config_exits_2(tmp_path, capsys, line):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(line + "\n")

@@ -12,7 +12,7 @@ from diarkit.dominance import (
 from diarkit.segments import DiarizationHypothesis
 
 
-def table_for(hyp, energies=None, **kwargs):
+def cues_for(hyp, energies=None, **kwargs):
     if energies is None:
         energies = np.ones(len(hyp.segments))
     return extract_features(hyp, energies, **kwargs)
@@ -20,20 +20,19 @@ def table_for(hyp, energies=None, **kwargs):
 
 def test_single_segment_counts():
     hyp = DiarizationHypothesis([(5.0, 15.0, "a")])
-    table = table_for(hyp, energies=[2.5], session_duration_sec=300.0)
-    assert len(table) == 1
-    row = table[0]
-    assert (row.turns, row.spts, row.spens) == (1, 10.0, 2.5)
+    speakers, cues = cues_for(hyp, energies=[2.5], session_duration_sec=300.0)
+    assert speakers == ["a"] and cues.shape == (1, 1, 3)
+    assert tuple(cues[0, 0]) == (1, 10.0, 2.5)
 
 
 def test_boundary_straddling_segment_splits():
     hyp = DiarizationHypothesis([(295.0, 305.0, "a")])
-    table = table_for(hyp, energies=[4.0], session_duration_sec=600.0)
-    by_window = {r.segment_index: r for r in table}
-    assert by_window[0].turns == 1 and by_window[1].turns == 1
-    assert abs(by_window[0].spts - 5.0) < 1e-9
-    assert abs(by_window[1].spts - 5.0) < 1e-9
-    assert abs(by_window[0].spens - 2.0) < 1e-9
+    _, cues = cues_for(hyp, energies=[4.0], session_duration_sec=600.0)
+    turns, spts, spens = cues[:, 0].T
+    assert turns[0] == 1 and turns[1] == 1
+    assert abs(spts[0] - 5.0) < 1e-9
+    assert abs(spts[1] - 5.0) < 1e-9
+    assert abs(spens[0] - 2.0) < 1e-9
 
 
 def test_alternating_turns_arithmetic():
@@ -43,19 +42,19 @@ def test_alternating_turns_arithmetic():
         segs.append((t, t + 2.0, "a" if i % 2 == 0 else "b"))
         t += 2.0
     hyp = DiarizationHypothesis(segs)
-    table = table_for(hyp, session_duration_sec=300.0)
-    rows = {r.speaker: r for r in table}
-    assert rows["a"].turns == 75 and rows["b"].turns == 75
-    assert abs(rows["a"].spts - 150.0) < 1e-9
-    assert abs(rows["b"].spts - 150.0) < 1e-9
+    speakers, cues = cues_for(hyp, session_duration_sec=300.0)
+    a, b = cues[0, speakers.index("a")], cues[0, speakers.index("b")]
+    assert a[0] == 75 and b[0] == 75
+    assert abs(a[1] - 150.0) < 1e-9
+    assert abs(b[1] - 150.0) < 1e-9
 
 
 def test_ns_segments_excluded():
     hyp = DiarizationHypothesis([(0.0, 5.0, "a"), (5.0, 8.0, "NS"), (8.0, 12.0, "a")])
-    table = table_for(hyp, energies=[1.0, 9.0, 1.0], session_duration_sec=300.0)
-    assert {r.speaker for r in table} == {"a"}
-    assert table[0].turns == 2
-    assert abs(table[0].spts - 9.0) < 1e-9
+    speakers, cues = cues_for(hyp, energies=[1.0, 9.0, 1.0], session_duration_sec=300.0)
+    assert speakers == ["a"]
+    assert cues[0, 0, 0] == 2
+    assert abs(cues[0, 0, 1] - 9.0) < 1e-9
 
 
 def test_empty_hypothesis_rejected():
@@ -80,19 +79,16 @@ def test_zscore_and_projection_properties():
     rng = np.random.default_rng(0)
     hyp, energies, total = mixed_session_table(rng)
     # segments were laid out densely; re-spread over windows via duration
-    table = extract_features(hyp, energies, session_duration_sec=hyp.duration())
-    combs = normalize_and_combine(table)
-    axis = combs[0].pca_axis
+    _, cues = extract_features(hyp, energies, session_duration_sec=hyp.duration())
+    comb, axis, eig = normalize_and_combine(cues)
+    assert comb.shape == cues.shape[:2]
     assert abs(np.linalg.norm(axis) - 1.0) < 1e-12
-    eig = combs[0].eigenvalues
     assert (np.diff(eig) <= 1e-12).all() and (eig >= 0).all()
     # projection variance equals the top eigenvalue
-    p = np.concatenate([c.p for c in combs])
-    assert abs(p.var() - eig[0]) < 1e-10
+    assert abs(comb.var() - eig[0]) < 1e-10
 
 
 def test_perfectly_correlated_features_rank_one():
-    rows = []
     rng = np.random.default_rng(1)
     hyp_segments = []
     energies = []
@@ -104,31 +100,21 @@ def test_perfectly_correlated_features_rank_one():
             energies.append(dur)  # spens == spts exactly
             t += dur + 0.5
     hyp = DiarizationHypothesis(hyp_segments)
-    table = extract_features(hyp, np.array(energies), session_duration_sec=hyp.duration())
+    _, cues = extract_features(hyp, np.array(energies), session_duration_sec=hyp.duration())
     # turns is constant (1 per window) so only spts/spens vary, identically
-    combs = normalize_and_combine(table)
-    axis = combs[0].pca_axis
+    _, axis, eig = normalize_and_combine(cues)
     expected = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
     np.testing.assert_allclose(np.abs(axis), expected, atol=1e-10)
-    assert combs[0].eigenvalues[0] > 0
-    assert combs[0].eigenvalues[1] < 1e-10
+    assert eig[0] > 0
+    assert eig[1] < 1e-10
 
 
 def test_degenerate_session_rejected():
-    hyp = DiarizationHypothesis([(0.0, 10.0, "a"), (300.0, 310.0, "b")])
-    # both rows identical after windowing -> no variance anywhere
-    table = extract_features(hyp, np.array([1.0, 1.0]), session_duration_sec=600.0)
-    # speakers alternate windows, so rows DO vary here; construct manually instead
-    from diarkit.dominance import SpeakerSegmentFeatures
-
-    rows = [
-        SpeakerSegmentFeatures(0, "a", 1, 5.0, 2.0),
-        SpeakerSegmentFeatures(0, "b", 1, 5.0, 2.0),
-        SpeakerSegmentFeatures(1, "a", 1, 5.0, 2.0),
-        SpeakerSegmentFeatures(1, "b", 1, 5.0, 2.0),
-    ]
+    # two windows x two speakers, every cell (1 turn, 5 s, energy 2): no
+    # variance anywhere
+    cues = np.tile([1.0, 5.0, 2.0], (2, 2, 1))
     with pytest.raises(ValueError, match="degenerate"):
-        normalize_and_combine(rows)
+        normalize_and_combine(cues)
 
 
 def test_single_speaker_session_scores_one():
@@ -197,3 +183,8 @@ def test_silent_speaker_has_minimal_score_with_positive_loadings():
         w = 0
         q = report.speakers.index("quiet")
         assert report.ds[w, q] == report.ds[w].min()
+
+
+def test_softmax_over_last_axis():
+    comb = np.array([[np.log(2.0), 0.0], [0.0, 1000.0], [3.0, 3.0]])
+    np.testing.assert_allclose(dominance_scores(comb), [dominance_scores(row) for row in comb], atol=0)
