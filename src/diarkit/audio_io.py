@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.io import wavfile
@@ -98,14 +98,7 @@ class SessionScript:
         return json.dumps(
             {
                 "total_duration_sec": self.total_duration_sec,
-                "speakers": [
-                    {
-                        "f0_hz": v.f0_hz,
-                        "tilt_db_per_octave": v.tilt_db_per_octave,
-                        "resonances_hz": list(v.resonances_hz),
-                    }
-                    for v in self.speakers
-                ],
+                "speakers": [asdict(v) for v in self.speakers],
                 "events": [[spk, start, dur] for spk, start, dur in self.events],
             },
             indent=2,
@@ -113,15 +106,14 @@ class SessionScript:
 
     @classmethod
     def from_json(cls, text: str) -> "SessionScript":
+        """Inverse of ``to_json``; a voice field missing from the file keeps
+        its default."""
         raw = json.loads(text)
-        speakers = [
-            VoiceSpec(
-                f0_hz=float(v["f0_hz"]),
-                tilt_db_per_octave=float(v.get("tilt_db_per_octave", -6.0)),
-                resonances_hz=tuple(float(r) for r in v.get("resonances_hz", (500.0, 1500.0, 2500.0))),
-            )
-            for v in raw["speakers"]
-        ]
+        speakers = []
+        for v in raw["speakers"]:
+            if "resonances_hz" in v:
+                v = {**v, "resonances_hz": tuple(v["resonances_hz"])}
+            speakers.append(VoiceSpec(**v))
         events = [(int(e[0]), float(e[1]), float(e[2])) for e in raw["events"]]
         return cls(speakers=speakers, events=events, total_duration_sec=float(raw["total_duration_sec"]))
 
@@ -149,7 +141,9 @@ def write_wav(path: str, samples: np.ndarray, rate: int):
 
 
 def resample(signal: np.ndarray, in_rate: int, out_rate: int) -> np.ndarray:
-    """Windowed-sinc resampling (Kaiser window, fixed tap count).
+    """Polyphase resampling through a Kaiser-windowed sinc (``_SINC_TAPS``
+    taps at the input rate, cut off at the lower of the two Nyquist rates).
+    The output has ``len(signal) * out_rate // in_rate`` samples.
 
     Identity passthrough when the rates match, so already-at-rate audio is
     bit-identical.
@@ -157,28 +151,15 @@ def resample(signal: np.ndarray, in_rate: int, out_rate: int) -> np.ndarray:
     signal = np.asarray(signal, dtype=np.float64)
     if in_rate == out_rate:
         return signal
-    ratio = out_rate / in_rate
-    n_out = int(math.floor(len(signal) * ratio))
-    half = _SINC_TAPS // 2
-    # Cutoff at the narrower Nyquist, in cycles per input sample.
-    fc = 0.5 * min(1.0, ratio)
-    padded = np.concatenate([np.zeros(half), signal, np.zeros(half + 1)])
-    out = np.empty(n_out)
-    offsets = np.arange(-half + 1, half + 1, dtype=np.float64)
-    i0 = np.i0(_KAISER_BETA)
-    chunk = 1 << 18
-    for lo in range(0, n_out, chunk):
-        hi = min(lo + chunk, n_out)
-        t = np.arange(lo, hi, dtype=np.float64) / ratio
-        base = np.floor(t).astype(np.int64)
-        frac = t - base
-        u = offsets[None, :] - frac[:, None]
-        kernel = 2.0 * fc * np.sinc(2.0 * fc * u)
-        win_arg = 1.0 - (u / half) ** 2
-        kernel *= np.where(win_arg > 0, np.i0(_KAISER_BETA * np.sqrt(np.clip(win_arg, 0, None))), 0.0) / i0
-        cols = base[:, None] + np.arange(-half + 1, half + 1)[None, :] + half
-        out[lo:hi] = np.einsum("ij,ij->i", padded[cols], kernel)
-    return out
+    # Imported here, not at the top: scipy.signal takes about a second to
+    # import, and synthesis and WAV I/O, which import this module, never
+    # resample.
+    from scipy.signal import firwin, resample_poly
+
+    g = math.gcd(in_rate, out_rate)
+    up, down = out_rate // g, in_rate // g
+    taps = firwin(_SINC_TAPS * up + 1, 1 / max(up, down), window=("kaiser", _KAISER_BETA))
+    return resample_poly(signal, up, down, window=taps)[: len(signal) * out_rate // in_rate]
 
 
 def load_session(paths: list[str], target_rate: int = DEFAULT_RATE) -> MultiStreamAudio:

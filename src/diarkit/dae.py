@@ -50,7 +50,6 @@ class Network:
     weights: list[np.ndarray]  # (n_in, n_out) per transition
     biases: list[np.ndarray]
     activations: list[str]
-    rng_seed: int = 0
     train_losses: list[list[float]] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
@@ -124,6 +123,16 @@ def corrupt(x: np.ndarray, kind: str, level: float, rng: np.random.Generator) ->
     raise ValueError(f"unknown corruption kind {kind!r}")
 
 
+def _forward(weights, biases, activations, x_in, x_target):
+    """Mean (over batch) summed squared reconstruction error, the activations
+    of every layer (input first) and the output error."""
+    acts = [np.asarray(x_in, dtype=np.float64)]
+    for w, b, kind in zip(weights, biases, activations):
+        acts.append(_act(acts[-1] @ w + b, kind))
+    diff = acts[-1] - x_target
+    return float((diff**2).sum() / len(x_in)), acts, diff
+
+
 def loss_and_grads(
     weights: list[np.ndarray],
     biases: list[np.ndarray],
@@ -133,15 +142,9 @@ def loss_and_grads(
 ):
     """Mean (over batch) summed squared reconstruction error and its
     gradients for a feed-forward chain of any depth."""
-    acts = [np.asarray(x_in, dtype=np.float64)]
-    for w, b, kind in zip(weights, biases, activations):
-        acts.append(_act(acts[-1] @ w + b, kind))
-    out = acts[-1]
-    diff = out - x_target
-    n = len(x_in)
-    loss = float((diff**2).sum() / n)
+    loss, acts, diff = _forward(weights, biases, activations, x_in, x_target)
     grads_w, grads_b = [], []
-    delta = (2.0 / n) * diff * _act_deriv_from_output(out, activations[-1])
+    delta = (2.0 / len(x_in)) * diff * _act_deriv_from_output(acts[-1], activations[-1])
     for i in range(len(weights) - 1, -1, -1):
         grads_w.append(acts[i].T @ delta)
         grads_b.append(delta.sum(axis=0))
@@ -160,8 +163,7 @@ def _train_single_dae(X, n_hidden, enc_act, dec_act, cfg: TrainConfig, rng):
     vel_b = [np.zeros_like(b) for b in biases]
 
     def clean_loss():
-        loss, _, _ = loss_and_grads(weights, biases, acts, X, X)
-        return loss
+        return _forward(weights, biases, acts, X, X)[0]
 
     losses = [clean_loss()]
     for epoch in range(cfg.epochs):
@@ -210,7 +212,6 @@ def pretrain_stack(
         weights=[enc1[0], enc2[0], dec2[0], dec1[0]],
         biases=[enc1[1], enc2[1], dec2[1], dec1[1]],
         activations=["tanh", "sigmoid", "sigmoid", "linear"],
-        rng_seed=seed,
         train_losses=[losses1, losses2],
     )
 
@@ -226,7 +227,7 @@ def random_network(input_dim: int, hidden_dim: int, bottleneck_dim: int, seed: i
         w, b = _init_layer(dims[i], dims[i + 1], rng)
         weights.append(w)
         biases.append(rng.normal(0.0, 0.1, size=b.shape))
-    return Network(layer_dims=dims, weights=weights, biases=biases, activations=acts, rng_seed=seed)
+    return Network(layer_dims=dims, weights=weights, biases=biases, activations=acts)
 
 
 def bottleneck(net: Network, f: FeatureMatrix) -> FeatureMatrix:

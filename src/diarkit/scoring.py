@@ -130,12 +130,17 @@ def score_der(reference, hypothesis, collar_sec: float = 0.0) -> DerBreakdown:
 
 
 def rttm_format(hyp, file_id: str = "session") -> str:
-    """SPEAKER records, one per segment; non-speech segments are omitted."""
+    """SPEAKER records, one per segment; non-speech segments are omitted.
+
+    Start and end are rounded to the millisecond before the duration is
+    taken, so a segment's written end is the next one's written start.
+    """
     segs = hyp.segments if isinstance(hyp, DiarizationHypothesis) else hyp
     lines = []
     for start, end, label in segs:
         if label == NON_SPEECH_LABEL:
             continue
+        start, end = round(start, 3), round(end, 3)
         lines.append(f"SPEAKER {file_id} 1 {start:.3f} {end - start:.3f} <NA> <NA> {label} <NA> <NA>\n")
     return "".join(lines)
 

@@ -75,10 +75,6 @@ class WptTree:
     def n_leaves(self) -> int:
         return 1 << self.depth
 
-    def leaf_band_hz(self, k: int) -> tuple[float, float]:
-        width = (self.sample_rate / 2.0) / self.n_leaves
-        return k * width, (k + 1) * width
-
     def total_energy(self) -> float:
         return float(sum(np.dot(leaf, leaf) for leaf in self.leaves))
 

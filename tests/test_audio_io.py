@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -15,6 +19,13 @@ def test_resample_identity_passthrough():
     x = np.linspace(-1, 1, 8000)
     out = audio_io.resample(x, 8000, 8000)
     assert np.array_equal(out, x)
+
+
+def tone_level_db(freq, rate_in, rate_out):
+    """RMS level of a unit sine after resampling, in dB re its own level,
+    skipping the filter edges."""
+    y = audio_io.resample(sine(freq, rate_in, 1.0), rate_in, rate_out)
+    return 20 * np.log10(np.sqrt(2 * np.mean(y[200:-200] ** 2)))
 
 
 def test_resample_sine_matches_analytic():
@@ -35,10 +46,33 @@ def test_resample_sine_matches_analytic():
     assert abs(amp - ref_amp) < 0.01
 
 
+def test_resample_rejects_alias():
+    # 6 kHz lies above the 4 kHz Nyquist of the output
+    assert tone_level_db(6000, 16000, 8000) <= -80.0
+
+
+def test_resample_upsampling_keeps_amplitude():
+    assert abs(10 ** (tone_level_db(3000, 8000, 16000) / 20) - 1.0) < 0.01
+
+
 def test_resample_preserves_duration():
-    x = np.random.default_rng(0).normal(size=44100)
-    y = audio_io.resample(x, 44100, 8000)
-    assert abs(len(y) / 8000 - len(x) / 44100) < audio_io.HOP_SEC
+    x = np.random.default_rng(0).normal(size=44100 + 37)
+    for rate_in, rate_out in [(16000, 8000), (44100, 8000), (48000, 8000), (22050, 8000), (8000, 16000)]:
+        y = audio_io.resample(x, rate_in, rate_out)
+        assert len(y) == len(x) * rate_out // rate_in, (rate_in, rate_out)
+
+
+def test_import_defers_slow_scipy_modules():
+    # Set-up code imports audio_io for synthesis and WAV I/O only; these two
+    # modules cost about a second and are loaded where they are first used.
+    code = (
+        "import sys, diarkit.audio_io\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_load_session_int16_scaling(tmp_path):
@@ -171,6 +205,20 @@ def test_read_segments_rttm_round_trip(tmp_path):
     path = tmp_path / "ref.rttm"
     scoring.rttm_write(segs, str(path), file_id="s1")
     assert audio_io.read_segments(str(path)) == segs
+
+
+def test_session_script_json_round_trip():
+    voices = [
+        VoiceSpec(f0_hz=110.0, tilt_db_per_octave=-4.5, resonances_hz=(450.0, 1300.0), vowel_spread=0.0, f0_jitter=0.1),
+        VoiceSpec(f0_hz=190.0, vowel_spread=0.35, f0_jitter=0.0),
+    ]
+    script = SessionScript(speakers=voices, events=[(0, 0.5, 2.0), (1, 3.0, 1.5)], total_duration_sec=5.0)
+    assert SessionScript.from_json(script.to_json()) == script
+
+
+def test_session_script_json_missing_voice_fields_take_defaults():
+    text = '{"total_duration_sec": 2.0, "speakers": [{"f0_hz": 120.0}], "events": [[0, 0.0, 1.0]]}'
+    assert SessionScript.from_json(text).speakers == [VoiceSpec(f0_hz=120.0)]
 
 
 def test_demo_script_shares_bias_speaking_time():

@@ -104,6 +104,19 @@ def test_pretrain_deterministic():
         assert np.array_equal(w1, w2)
 
 
+def test_clean_loss_matches_loss_and_grads_exactly():
+    # The per-epoch clean loss is a forward-only pass; it must be the very
+    # value the training step's loss_and_grads gives on the same weights.
+    X = rank_one_features(n=300, dim=12, seed=4)
+    net = pretrain_stack(X, TrainConfig(epochs=2, batch_size=64), seed=3, hidden_dim=6, bottleneck_dim=3)
+    w, b = net.weights, net.biases
+    first, _, _ = dae.loss_and_grads([w[0], w[3]], [b[0], b[3]], ["tanh", "linear"], X, X)
+    codes = np.tanh(X @ w[0] + b[0])
+    second, _, _ = dae.loss_and_grads([w[1], w[2]], [b[1], b[2]], ["sigmoid", "sigmoid"], codes, codes)
+    assert net.train_losses[0][-1] == first
+    assert net.train_losses[1][-1] == second
+
+
 def test_training_loss_mostly_non_increasing():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(512, 16)) @ rng.normal(size=(16, 16)) * 0.5

@@ -146,6 +146,19 @@ def test_rttm_round_trip(tmp_path):
     assert back == [(0.5, 2.5, "spk0"), (2.5, 7.25, "spk1"), (8.0, 9.125, "spk0")]
 
 
+def test_rttm_adjacent_segments_do_not_overlap(tmp_path):
+    # The diarizer's boundaries (k * hop + window / 2 - hop / 2 = k * 0.01 +
+    # 0.0075 s) sit on the millisecond rounding edge.
+    bounds = [k * 0.01 + 0.0125 - 0.005 for k in range(1, 3001)]
+    segs = [(a, b, f"spk{i % 2}") for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    path = tmp_path / "adjacent.rttm"
+    rttm_write(segs, str(path))
+    back = rttm_read(str(path))
+    assert len(back) == len(segs)
+    overlaps = [prev[1] - nxt[0] for prev, nxt in zip(back, back[1:])]
+    assert max(overlaps) <= 1e-9
+
+
 def test_rttm_single_line_fields(tmp_path):
     path = tmp_path / "one.rttm"
     path.write_text("SPEAKER s1 1 0.500 2.000 <NA> <NA> spk0 <NA> <NA>\n")
