@@ -73,29 +73,21 @@ class HmmModel:
         return len(self.states)
 
     def log_emissions(self, X: np.ndarray) -> np.ndarray:
-        """(frames, K) per-state log densities."""
-        return np.column_stack([g.per_frame_log_likelihood(X) for g in self.states])
+        """(frames, K) per-state log densities: every state's components in
+        one matrix product, then a log-sum-exp over each state's columns."""
+        sizes = [g.n_components for g in self.states]
+        starts = np.cumsum([0] + sizes[:-1])
+        lp = gmm_mod.log_densities(
+            np.atleast_2d(np.asarray(X, dtype=np.float64)),
+            np.concatenate([g.weights for g in self.states]),
+            np.vstack([g.means for g in self.states]),
+            np.vstack([g.variances for g in self.states]),
+        )
+        m = np.maximum.reduceat(lp, starts, axis=1)
+        return m + np.log(np.add.reduceat(np.exp(lp - np.repeat(m, sizes, axis=1)), starts, axis=1))
 
     def decode(self, X: np.ndarray) -> tuple[np.ndarray, float]:
         return viterbi_path(self.log_emissions(X), self.min_dur_frames, self.self_loop_prob)
-
-    def sub_state_transitions(self) -> np.ndarray:
-        """Dense (K*T, K*T) transition matrix, for inspection and tests."""
-        K, T = self.n_states, self.min_dur_frames
-        trans = np.zeros((K * T, K * T))
-        for k in range(K):
-            base = k * T
-            for j in range(T - 1):
-                trans[base + j, base + j + 1] = 1.0
-            last = base + T - 1
-            if K == 1:
-                trans[last, last] = 1.0
-            else:
-                trans[last, last] = self.self_loop_prob
-                for k2 in range(K):
-                    if k2 != k:
-                        trans[last, k2 * T] = (1.0 - self.self_loop_prob) / (K - 1)
-        return trans
 
 
 def init_segmentation(n_frames: int, n_segments: int, min_segment_frames: int = 2) -> list[tuple[int, int]]:
@@ -114,7 +106,16 @@ def viterbi_path(log_emissions: np.ndarray, min_dur_frames: int, self_loop_prob:
 
     Returns the per-frame parent-state labels and the joint log-probability
     of the winning sub-state path. The initial distribution is uniform over
-    state entries; ties break toward the lower state index.
+    state entries; ties break toward the lower state index, a chain arrival
+    beats an equal self-loop, and at ``min_dur_frames == 1`` a tie keeps the
+    current state.
+
+    The recursion is explicit-duration: only each state's last sub-state is
+    carried, and sub-state ``j`` at frame ``t`` is the entry score at
+    ``t - j`` plus a window of emissions. A visit entered at ``s`` reaches
+    its last sub-state at ``s + T - 1``, so within a block ``[b, b + T)``
+    every chain arrival comes from an entry made at or before ``b`` and the
+    block is advanced in a few array operations.
     """
     logb = np.asarray(log_emissions, dtype=np.float64)
     n_frames, K = logb.shape
@@ -127,54 +128,65 @@ def viterbi_path(log_emissions: np.ndarray, min_dur_frames: int, self_loop_prob:
     log_stay = np.log(self_loop_prob)
     log_exit = np.log((1.0 - self_loop_prob) / (K - 1))
 
-    delta = np.full((K, T), -np.inf)
-    delta[:, 0] = -np.log(K) + logb[0]
-    entry_src = np.zeros((n_frames, K), dtype=np.int32)
-    stay_won = np.zeros((n_frames, K), dtype=bool)
+    # Row t + T - 1 of `entry` and `csum` holds frame t; the T - 1 leading
+    # rows stand for frames before the start, which no visit enters.
+    entry = np.full((n_frames + T, K), -np.inf)  # entry score, emission excluded
+    entry[T - 1] = -np.log(K)
+    csum = np.zeros((n_frames + T, K))
+    np.cumsum(logb, axis=0, out=csum[T:])  # csum[t + T - 1] = logb[:t].sum()
+    last = np.empty((n_frames, K))  # last sub-state score
+    arrival = np.empty((n_frames, K), dtype=np.int64)  # frame the visit's chain reached the last sub-state
+    top = np.zeros(n_frames, dtype=np.int64)  # best exit at each frame
+    second = np.zeros(n_frames, dtype=np.int64)  # best exit other than `top`
+    rows = np.arange(T)
+    carry_score, carry_arrival = np.full(K, -np.inf), np.full(K, -1)
+    for b in range(0, n_frames, T):
+        e = min(b + T, n_frames)
+        r = rows[: e - b]
+        # chain[t] = entry[t - T + 1] + logb[t - T + 1 : t].sum(): arrival before emission t
+        chain = entry[b:e] + (csum[b + T - 1 : e + T - 1] - csum[b:e])
+        # last[t] = max(last[t - 1] + log_stay, chain[t]) + logb[t], unrolled over
+        # the block with steps[t] = sum of (logb + log_stay) over [b, t). The
+        # block's first frame compares exactly as the one-frame recursion does.
+        steps = np.zeros((e - b, K))
+        np.cumsum(logb[b : e - 1] + log_stay, axis=0, out=steps[1:])
+        chain_rel = chain - steps
+        run_max = np.maximum.accumulate(np.vstack([carry_score + log_stay, chain_rel]), axis=0)
+        chain_won = chain_rel > run_max[:-1] if T == 1 else chain_rel >= run_max[:-1]
+        last[b:e] = steps + run_max[1:] + logb[b:e]
+        won_at = np.maximum.accumulate(np.where(chain_won, (b + r)[:, None], -1), axis=0)
+        arrival[b:e] = np.where(won_at >= 0, won_at, carry_arrival)
+        carry_score, carry_arrival = last[e - 1], arrival[e - 1]
 
-    for t in range(1, n_frames):
-        exit_score = delta[:, -1] + log_exit
-        top = int(np.argmax(exit_score))
-        rest = np.delete(exit_score, top)
-        second = int(np.argmax(rest))
-        second += second >= top
-        best_other = np.full(K, exit_score[top])
-        best_src = np.full(K, top, dtype=np.int32)
-        best_other[top] = exit_score[second]
-        best_src[top] = second
-        stay = delta[:, -1] + log_stay
+        exits = last[b:e] + log_exit
+        top[b:e] = exits.argmax(axis=1)
+        best_exit = exits[r, top[b:e]]
+        exits[r, top[b:e]] = -np.inf
+        second[b:e] = exits.argmax(axis=1)
+        nxt = np.repeat(best_exit[:, None], K, axis=1)
+        nxt[r, top[b:e]] = exits[r, second[b:e]]  # the best exit cannot re-enter its own state
+        entry[b + T : e + T] = nxt
 
-        new = np.empty_like(delta)
-        if T > 1:
-            new[:, 1:] = delta[:, :-1]
-            won = stay > new[:, -1]  # tie keeps the chain advance
-            new[won, -1] = stay[won]
-            new[:, 0] = best_other
-        else:
-            won = stay >= best_other  # tie keeps the current state (lower index path)
-            new[:, 0] = np.where(won, stay, best_other)
-        stay_won[t] = won
-        entry_src[t] = best_src
-        delta = new + logb[t][:, None]
+    # Scores at the last frame, (K, T) sub-states in row-major order as the
+    # tie-break reads them; sub-state j < T - 1 was entered at n - 1 - j.
+    final = np.empty((K, T))
+    final[:, T - 1] = last[-1]
+    if T > 1:
+        idx = n_frames + T - 2 - np.arange(T - 1)
+        final[:, : T - 1] = (entry[idx] + (csum[n_frames + T - 1] - csum[idx])).T
+    k, j = divmod(int(np.argmax(final)), T)
+    score = float(final[k, j])
 
-    flat = int(np.argmax(delta))
-    k, j = divmod(flat, T)
-    score = float(delta[k, j])
     labels = np.empty(n_frames, dtype=np.int64)
-    labels[-1] = k
-    for t in range(n_frames - 1, 0, -1):
-        if T == 1:
-            if not stay_won[t, k]:
-                k = int(entry_src[t, k])
-        elif j == 0:
-            k = int(entry_src[t, k])
-            j = T - 1
-        elif j == T - 1 and stay_won[t, k]:
-            pass  # self-loop, stay in (k, T-1)
-        else:
-            j -= 1
-        labels[t - 1] = k
-    return labels, score
+    t = n_frames - 1
+    s = t - j if j < T - 1 else int(arrival[t, k]) - T + 1
+    while True:
+        labels[s : t + 1] = k
+        if s == 0:
+            return labels, score
+        t = s - 1
+        k = int(second[t]) if top[t] == k else int(top[t])
+        s = int(arrival[t, k]) - T + 1
 
 
 def segmental_em(
@@ -222,19 +234,23 @@ def merge_gain(g1: Gmm, X1: np.ndarray, g2: Gmm, X2: np.ndarray, refine_iters: i
     Positive gain accepts the merge hypothesis; the pooled model keeps the
     children's total parameter count, so no penalty term is needed.
     """
-    gain, _ = _merge_fit(g1, X1, g2, X2, refine_iters)
+    X1, X2 = np.atleast_2d(X1), np.atleast_2d(X2)
+    gain, _ = _merge_fit(g1, X1, g1.log_likelihood(X1), g2, X2, g2.log_likelihood(X2), refine_iters)
     return gain
 
 
-def _merge_fit(g1: Gmm, X1: np.ndarray, g2: Gmm, X2: np.ndarray, refine_iters: int = 5) -> tuple[float, Gmm]:
-    X1 = np.atleast_2d(X1)
-    X2 = np.atleast_2d(X2)
+def _merge_fit(
+    g1: Gmm, X1: np.ndarray, ll1: float, g2: Gmm, X2: np.ndarray, ll2: float, refine_iters: int = 5
+) -> tuple[float, Gmm]:
+    """``merge_gain`` given each child's log-likelihood on its own frames,
+    which the merge search computes once per state per round; also returns
+    the pooled mixture."""
     pooled = np.vstack([X1, X2])
     min_frames = 2 * (g1.n_components + g2.n_components)
     if len(pooled) < min_frames:
         raise ValueError(f"merge test needs at least {min_frames} pooled frames, got {len(pooled)}")
     merged = gmm_mod.em_refine(gmm_mod.merge_init(g1, g2), pooled, max_iters=refine_iters, tol=0.0)
-    gain = merged.log_likelihood(pooled) - (g1.log_likelihood(X1) + g2.log_likelihood(X2))
+    gain = merged.log_likelihood(pooled) - (ll1 + ll2)
     return float(gain), merged
 
 
@@ -308,50 +324,64 @@ def diarize(X: FeatureMatrix, cfg: DiarizerConfig) -> tuple[DiarizationHypothesi
     model = HmmModel(states=states, min_dur_frames=T, self_loop_prob=cfg.self_loop_prob)
     em_history: list[float] = []
     merge_trace: list[dict] = []
+    skipped_merge_pairs: list[dict] = []
+    dropped_states: list[dict] = []
     stop_reason = "max_outer_iters"
-    labels = np.zeros(n_frames, dtype=np.int64)
+    round_idx = -1
 
-    def remap_ns(idx: int, kept: list[int]) -> int:
-        return kept.index(idx) if idx in kept else -1
-
-    for _ in range(cfg.max_outer_iters):
+    def align(model: HmmModel, em_round: int) -> tuple[HmmModel, np.ndarray]:
+        nonlocal ns_idx
+        n_in = model.n_states
         model, labels, hist, kept = segmental_em(model, data, max_iters=cfg.em_iters)
         em_history.extend(hist)
+        dropped_states.extend({"round": em_round, "state": k} for k in range(n_in) if k not in kept)
         if ns_idx >= 0:
-            ns_idx = remap_ns(ns_idx, kept)
+            ns_idx = kept.index(ns_idx) if ns_idx in kept else -1
+        return model, labels
+
+    for round_idx in range(cfg.max_outer_iters):
+        model, labels = align(model, round_idx)
         n_speaker_states = model.n_states - (1 if ns_idx >= 0 else 0)
         if n_speaker_states <= cfg.n_speakers:
             stop_reason = "reached_target_states"
             break
 
-        speaker_ids = [k for k in range(model.n_states) if k != ns_idx]
-        best = None
-        for a_pos in range(len(speaker_ids)):
-            for b_pos in range(a_pos + 1, len(speaker_ids)):
-                a, b = speaker_ids[a_pos], speaker_ids[b_pos]
-                Xa, Xb = data[labels == a], data[labels == b]
-                if len(Xa) == 0 or len(Xb) == 0:
-                    continue
+        own = {}  # state -> (its frames, its log-likelihood on them)
+        for k in range(model.n_states):
+            frames = data[labels == k]
+            if k != ns_idx and len(frames):
+                own[k] = (frames, model.states[k].log_likelihood(frames))
+        candidates = []  # (gain, a, b, pooled mixture), in search order
+        ids = list(own)
+        for a_pos, a in enumerate(ids):
+            for b in ids[a_pos + 1 :]:
                 try:
-                    gain, merged = _merge_fit(model.states[a], Xa, model.states[b], Xb)
-                except ValueError:
+                    gain, merged = _merge_fit(model.states[a], *own[a], model.states[b], *own[b])
+                except ValueError as exc:
+                    skipped_merge_pairs.append({"round": round_idx, "pair": [a, b], "reason": str(exc)})
                     continue
-                if best is None or gain > best[0]:
-                    best = (gain, a, b, merged)
-        if best is None or best[0] <= 0:
+                candidates.append((gain, a, b, merged))
+        gains = [c[0] for c in candidates]
+        if not gains or max(gains) <= 0:
             stop_reason = "no_positive_merge_gain"
             break
-        gain, a, b, merged = best
-        merge_trace.append({"pair": [int(a), int(b)], "gain": gain, "states_after": model.n_states - 1})
+        best_pos = gains.index(max(gains))  # the first of equal gains
+        gain, a, b, merged = candidates[best_pos]
+        runner_up = max(gains[:best_pos] + gains[best_pos + 1 :], default=None)
+        merge_trace.append(
+            {
+                "pair": [a, b],
+                "gain": gain,
+                "runner_up": runner_up,
+                "margin": None if runner_up is None else gain - runner_up,
+                "states_after": model.n_states - 1,
+            }
+        )
         new_states = [merged if k == a else g for k, g in enumerate(model.states) if k != b]
         if ns_idx > b:
             ns_idx -= 1
         model = HmmModel(states=new_states, min_dur_frames=T, self_loop_prob=cfg.self_loop_prob)
-
-    model, labels, hist, kept = segmental_em(model, data, max_iters=cfg.em_iters)
-    em_history.extend(hist)
-    if ns_idx >= 0:
-        ns_idx = remap_ns(ns_idx, kept)
+    model, labels = align(model, round_idx + 1)
 
     names = []
     spk = 0
@@ -371,6 +401,8 @@ def diarize(X: FeatureMatrix, cfg: DiarizerConfig) -> tuple[DiarizationHypothesi
         "min_dur_frames": T,
         "em_path_log_prob": em_history,
         "merge_trace": merge_trace,
+        "skipped_merge_pairs": skipped_merge_pairs,
+        "dropped_states": dropped_states,
         "no_sad_mode": cfg.no_sad_mode,
     }
     return hyp, meta

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diarkit import gmm
+from diarkit import diarizer, gmm
 from diarkit.diarizer import (
     DiarizerConfig,
     HmmModel,
@@ -110,6 +110,23 @@ def test_viterbi_model_decode_matches_oracle():
         np.testing.assert_array_equal(labels, ref_labels)
 
 
+def test_viterbi_tie_keeps_current_state_at_unit_duration():
+    # with equal emissions and p(stay) == p(exit), every path scores the same
+    labels, score = viterbi_path(np.zeros((9, 2)), 1, 0.5)
+    assert (labels == 0).all()
+    assert score == pytest.approx(9 * math.log(0.5))
+
+
+def test_log_emissions_match_per_state_likelihoods():
+    rng = np.random.default_rng(16)
+    dim = 5
+    states = [gmm.em_fit(rng.normal(loc=3.0 * m, size=(60, dim)), m, seed=m) for m in (1, 2, 3, 4)]
+    model = HmmModel(states=states, min_dur_frames=3)
+    X = rng.normal(scale=4.0, size=(200, dim))
+    expected = np.column_stack([g.per_frame_log_likelihood(X) for g in states])
+    np.testing.assert_allclose(model.log_emissions(X), expected, rtol=1e-12, atol=0)
+
+
 def test_viterbi_min_duration_forces_single_switch():
     T = 4
     strong, weak = 0.0, -50.0
@@ -122,12 +139,75 @@ def test_viterbi_min_duration_forces_single_switch():
     assert switches == 1
 
 
+def sub_state_transitions(n_states, min_dur, self_loop):
+    """Dense (K*T, K*T) transition matrix of the minimum-duration topology.
+
+    Sub-state i advances to i+1 with probability 1; the last sub-state
+    self-loops with ``self_loop`` and exits to every other state's first
+    sub-state with equal probability.
+    """
+    K, T = n_states, min_dur
+    trans = np.zeros((K * T, K * T))
+    for k in range(K):
+        base = k * T
+        for j in range(T - 1):
+            trans[base + j, base + j + 1] = 1.0
+        last = base + T - 1
+        if K == 1:
+            trans[last, last] = 1.0
+        else:
+            trans[last, last] = self_loop
+            for k2 in range(K):
+                if k2 != k:
+                    trans[last, k2 * T] = (1.0 - self_loop) / (K - 1)
+    return trans
+
+
+def dense_viterbi(logb, min_dur, self_loop):
+    """Oracle for long sequences: textbook Viterbi over all K*T sub-states
+    of the dense transition matrix, entering any state's first sub-state
+    with equal probability."""
+    F, K = logb.shape
+    T = min_dur
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(sub_state_transitions(K, T, self_loop))
+    emis = np.repeat(logb, T, axis=1)  # sub-state i belongs to state i // T
+    delta = np.full(K * T, -np.inf)
+    delta[::T] = -math.log(K)
+    delta += emis[0]
+    back = np.zeros((F, K * T), dtype=np.int64)
+    for t in range(1, F):
+        cand = delta[:, None] + log_trans
+        back[t] = cand.argmax(axis=0)
+        delta = cand.max(axis=0) + emis[t]
+    i = int(delta.argmax())
+    score = float(delta[i])
+    path = [i]
+    for t in range(F - 1, 0, -1):
+        i = int(back[t, i])
+        path.append(i)
+    return np.array(path[::-1], dtype=np.int64) // T, score
+
+
 def test_transition_rows_sum_to_one():
-    rng = np.random.default_rng(1)
     for K, T in [(1, 1), (1, 4), (3, 1), (4, 5)]:
-        model = random_model(rng, K, 3, T)
-        trans = model.sub_state_transitions()
+        trans = sub_state_transitions(K, T, 0.9)
         np.testing.assert_allclose(trans.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_viterbi_matches_dense_viterbi_on_long_sequences():
+    # (K, T, frames): shorter than T, not a multiple of T, T = 1, K = 2
+    cases = [(2, 12, 7), (3, 5, 123), (2, 1, 400), (6, 1, 57), (6, 12, 400), (2, 7, 7), (4, 3, 1)]
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        cases.append((int(rng.integers(1, 7)), int(rng.integers(1, 13)), int(rng.integers(1, 401))))
+    for K, T, F in cases:
+        logb = rng.normal(size=(F, K)) * 2.0
+        self_loop = float(rng.choice([0.5, 0.9, 0.99]))
+        labels, score = viterbi_path(logb, T, self_loop)
+        ref_labels, ref_score = dense_viterbi(logb, T, self_loop)
+        assert abs(score - ref_score) < 1e-9, (K, T, F)
+        np.testing.assert_array_equal(labels, ref_labels, err_msg=f"K={K} T={T} F={F}")
 
 
 def block_data(rng, means, block_len, n_blocks, dim, noise=1.0):
@@ -265,6 +345,34 @@ def test_diarize_recovers_speaker_count_and_partition():
         mapped = np.array([perm[t] for t in truth])
         best = max(best, (frame_labels == mapped).mean())
     assert best >= 0.90
+
+
+def test_diarize_merge_trace_gains_and_meta_keys(monkeypatch):
+    rng = np.random.default_rng(9)
+    X, _ = synthetic_session_features(rng)
+    alignments = []
+    real_segmental_em = diarizer.segmental_em
+
+    def recording_segmental_em(model, data, max_iters):
+        out = real_segmental_em(model, data, max_iters=max_iters)
+        alignments.append((out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(diarizer, "segmental_em", recording_segmental_em)
+    cfg = DiarizerConfig(n_speakers=3, initial_states=9, min_duration_sec=0.3, seed=0)
+    _, meta = diarize(make_feature_matrix(X), cfg)
+    assert isinstance(meta["skipped_merge_pairs"], list)
+    assert isinstance(meta["dropped_states"], list)
+    assert meta["merge_trace"]
+    for entry in meta["merge_trace"]:
+        assert {"pair", "gain", "runner_up", "margin", "states_after"} <= set(entry)
+        assert entry["margin"] is None or entry["margin"] >= 0
+    # the search reuses each state's own-frame likelihood; the gain it
+    # traces is still exactly the standalone merge test's
+    model, labels = alignments[0]
+    first = meta["merge_trace"][0]
+    a, b = first["pair"]
+    assert first["gain"] == merge_gain(model.states[a], X[labels == a], model.states[b], X[labels == b])
 
 
 def test_diarize_single_source_reports_stop_reason():

@@ -55,6 +55,35 @@ def test_log_likelihood_matches_high_precision_sum():
     assert abs(g.log_likelihood(X) - expected) < 1e-10
 
 
+def broadcast_log_densities(g, X):
+    """Direct formula: log w + log N(x; mu, diag sigma2) with the squared
+    distance summed term by term."""
+    quad = ((X[:, None, :] - g.means[None]) ** 2 / g.variances[None]).sum(axis=2)
+    const = -0.5 * (g.dim * math.log(2 * math.pi) + np.log(g.variances).sum(axis=1))
+    return np.log(g.weights) + const - 0.5 * quad
+
+
+@pytest.mark.parametrize("case", ["unit", "offset", "floored_constant"])
+def test_component_log_densities_match_broadcast_formula(case):
+    rng = np.random.default_rng(11)
+    M, dim = 3, 6
+    X = rng.normal(size=(100, dim))
+    means = rng.normal(size=(M, dim))
+    variances = rng.uniform(0.5, 2.0, size=(M, dim))
+    if case == "offset":
+        X += 1e3
+        means += 1e3
+        variances = rng.uniform(0.9, 1.1, size=(M, dim))
+    elif case == "floored_constant":
+        # a dimension the data never leaves, its variance at the absolute
+        # floor: any cancellation there is scaled by 1 / ABS_VAR_FLOOR
+        X[:, 0] = 7.0
+        means[:, 0] = 7.0
+        variances[:, 0] = gmm.ABS_VAR_FLOOR
+    g = Gmm(weights=[0.2, 0.3, 0.5], means=means, variances=variances)
+    np.testing.assert_allclose(g.component_log_densities(X), broadcast_log_densities(g, X), rtol=0, atol=1e-9)
+
+
 def test_log_likelihood_invariant_under_component_permutation():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 2))
