@@ -73,18 +73,9 @@ class HmmModel:
         return len(self.states)
 
     def log_emissions(self, X: np.ndarray) -> np.ndarray:
-        """(frames, K) per-state log densities: every state's components in
-        one matrix product, then a log-sum-exp over each state's columns."""
-        sizes = [g.n_components for g in self.states]
-        starts = np.cumsum([0] + sizes[:-1])
-        lp = gmm_mod.log_densities(
-            np.atleast_2d(np.asarray(X, dtype=np.float64)),
-            np.concatenate([g.weights for g in self.states]),
-            np.vstack([g.means for g in self.states]),
-            np.vstack([g.variances for g in self.states]),
-        )
-        m = np.maximum.reduceat(lp, starts, axis=1)
-        return m + np.log(np.add.reduceat(np.exp(lp - np.repeat(m, sizes, axis=1)), starts, axis=1))
+        """(frames, K) per-state log densities, each state's components
+        centred on that state's own means."""
+        return np.column_stack([g.per_frame_log_likelihood(X) for g in self.states])
 
     def decode(self, X: np.ndarray) -> tuple[np.ndarray, float]:
         return viterbi_path(self.log_emissions(X), self.min_dur_frames, self.self_loop_prob)

@@ -44,11 +44,21 @@ class Gmm:
         return self.means.shape[1]
 
     def component_log_densities(self, X: np.ndarray) -> np.ndarray:
-        """(frames, M) matrix of log w_m + log N(x; mu_m, diag sigma2_m)."""
+        """(frames, M) matrix of log w_m + log N(x; mu_m, diag sigma2_m), the
+        squared distance expanded into matrix products. Data and means are
+        centred on the mean of the component means first: the expansion
+        subtracts terms of size (x / sigma)^2, which would swamp the distance
+        when both sit far from 0 relative to sigma."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.dim:
             raise ValueError(f"dim mismatch: data {X.shape[1]}, model {self.dim}")
-        return log_densities(X, self.weights, self.means, self.variances)
+        centre = self.means.mean(axis=0)
+        Xc, mc = X - centre, self.means - centre
+        precision = 1.0 / self.variances
+        const = np.log(self.weights) - 0.5 * (
+            self.dim * LOG_2PI + np.log(self.variances).sum(axis=1) + (mc**2 * precision).sum(axis=1)
+        )
+        return const - 0.5 * (Xc**2 @ precision.T) + Xc @ (mc * precision).T
 
     def per_frame_log_likelihood(self, X: np.ndarray) -> np.ndarray:
         lp = self.component_log_densities(X)
@@ -57,21 +67,6 @@ class Gmm:
 
     def log_likelihood(self, X: np.ndarray) -> float:
         return float(self.per_frame_log_likelihood(X).sum())
-
-
-def log_densities(X: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """(frames, M) matrix of log w_m + log N(x; mu_m, diag sigma2_m), the
-    squared distance expanded into matrix products. Data and means are
-    centred on the mean of the component means first: the expansion
-    subtracts terms of size (x / sigma)^2, which would swamp the distance
-    when both sit far from 0 relative to sigma."""
-    centre = means.mean(axis=0)
-    Xc, mc = X - centre, means - centre
-    precision = 1.0 / variances
-    const = np.log(weights) - 0.5 * (
-        X.shape[1] * LOG_2PI + np.log(variances).sum(axis=1) + (mc**2 * precision).sum(axis=1)
-    )
-    return const - 0.5 * (Xc**2 @ precision.T) + Xc @ (mc * precision).T
 
 
 def variance_floor(X: np.ndarray) -> np.ndarray:

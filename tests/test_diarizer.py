@@ -117,14 +117,27 @@ def test_viterbi_tie_keeps_current_state_at_unit_duration():
     assert score == pytest.approx(9 * math.log(0.5))
 
 
-def test_log_emissions_match_per_state_likelihoods():
+def test_log_emissions_match_direct_formula():
     rng = np.random.default_rng(16)
     dim = 5
     states = [gmm.em_fit(rng.normal(loc=3.0 * m, size=(60, dim)), m, seed=m) for m in (1, 2, 3, 4)]
+    # a non-speech state refit on digital silence: its first dimension is
+    # the log floor on every frame, so EM floors that variance at
+    # ABS_VAR_FLOOR, and its mean sits far from the speech states' means
+    silence = rng.normal(size=(60, dim))
+    silence[:, 0] = math.log(1e-10)
+    states.append(gmm.em_fit(silence, 2, seed=5))
+    assert (states[-1].variances[:, 0] == gmm.ABS_VAR_FLOOR).all()
     model = HmmModel(states=states, min_dur_frames=3)
     X = rng.normal(scale=4.0, size=(200, dim))
-    expected = np.column_stack([g.per_frame_log_likelihood(X) for g in states])
-    np.testing.assert_allclose(model.log_emissions(X), expected, rtol=1e-12, atol=0)
+    X[::2, 0] = math.log(1e-10)
+    expected = np.empty((len(X), len(states)))
+    for k, g in enumerate(states):
+        quad = ((X[:, None, :] - g.means[None]) ** 2 / g.variances[None]).sum(axis=2)
+        lp = np.log(g.weights) - 0.5 * (dim * math.log(2 * math.pi) + np.log(g.variances).sum(axis=1) + quad)
+        m = lp.max(axis=1)
+        expected[:, k] = m + np.log(np.exp(lp - m[:, None]).sum(axis=1))
+    np.testing.assert_allclose(model.log_emissions(X), expected, rtol=1e-12, atol=1e-9)
 
 
 def test_viterbi_min_duration_forces_single_switch():
