@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 runtime failure inside a module, 2 usage or
 validation error. The environment variable ``DIARKIT_SEED`` overrides the
-default seed. Output files are written atomically (temp file + rename).
+default seed. The ``diarize`` RTTM and meta JSONL, the ``score`` JSON and the
+``dominance`` CSV are written atomically (temp file + rename); ``features
+--out``, ``--dae-model`` and ``synth`` write in place.
 """
 
 from __future__ import annotations
@@ -163,9 +165,10 @@ def extract_session_features(
     concatenation, then either splice + bottleneck network, or the raw
     concatenated features.
 
-    Returns speech-only frames in oracle-SAD mode, or all frames with a
-    speech mask attached in no-SAD mode (from the SAD file when given,
-    otherwise from a low-energy heuristic).
+    Returns speech-only frames in oracle-SAD mode, with ``frame_index``
+    naming each row's original frame, or all frames with a speech mask
+    attached in no-SAD mode (from the SAD file when given, otherwise from a
+    low-energy heuristic). This is the one place that drops non-speech rows.
     """
     mcfg = cfg.stage(features.MfccConfig)
     raw = [features.mfcc(ch, audio.sample_rate, mcfg) for ch in audio.channels]
@@ -184,7 +187,7 @@ def extract_session_features(
     else:
         staged = features.splice(combined, cfg.splice_left, cfg.splice_right)
     if cfg.mode != "no-sad":
-        staged = features.apply_sad(staged, sad_segments)
+        staged = dataclasses.replace(staged, data=staged.data[mask], speech_mask=None, frame_index=np.flatnonzero(mask))
 
     if cfg.feature_kind == "mfcc91":
         return staged, None
@@ -237,9 +240,9 @@ def _load_inputs(args) -> tuple[PipelineConfig, audio_io.MultiStreamAudio, list[
     for path in args.audio:
         if not os.path.exists(path):
             raise UsageError(f"audio file not found: {path}")
-    if args.sad is None and args.mode is None:
-        raise UsageError("either --sad FILE or --no-sad is required")
     cfg = build_pipeline_config(args)
+    if args.sad is None and cfg.mode != "no-sad":
+        raise UsageError("either --sad FILE or --no-sad is required")
     audio = audio_io.load_session(args.audio, target_rate=cfg.sample_rate)
     sad_segments = audio_io.read_segments(args.sad) if args.sad else None
     return cfg, audio, sad_segments

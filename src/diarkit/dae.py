@@ -79,12 +79,6 @@ class Network:
             a = _act(a @ w + b, act)
         return a
 
-    def reconstruct(self, X: np.ndarray) -> np.ndarray:
-        a = np.asarray(X, dtype=np.float64)
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            a = _act(a @ w + b, act)
-        return a
-
 
 def _act(z, kind):
     if kind == "tanh":

@@ -19,7 +19,7 @@ import numpy as np
 from . import gmm as gmm_mod
 from .features import FeatureMatrix
 from .gmm import Gmm
-from .segments import NON_SPEECH_LABEL, DiarizationHypothesis, merge_contiguous
+from .segments import NON_SPEECH_LABEL, DiarizationHypothesis
 
 
 @dataclass
@@ -41,6 +41,14 @@ class DiarizerConfig:
             raise ValueError("min_duration_sec must be positive")
         if not (0 < self.self_loop_prob < 1):
             raise ValueError("self_loop_prob must lie in (0, 1)")
+        for key, low in (
+            ("initial_states", 1),
+            ("components_per_initial_segment", 1),
+            ("max_outer_iters", 0),
+            ("em_iters", 0),
+        ):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         lo, hi = 3 * self.n_speakers, 6 * self.n_speakers
         if not (lo <= self.initial_states <= hi):
             warnings.warn(
@@ -255,7 +263,9 @@ def _segments_from_labels(
     """Turn per-frame labels into time segments, splitting runs wherever the
     original frame index jumps (removed non-speech). A run ends at the start
     time of the frame after its last, computed the same way as a start, so
-    adjacent runs share one boundary value and never overlap."""
+    adjacent runs share one boundary value and never overlap. Two runs of
+    one label are split only at a frame gap, so at least one hop lies
+    between them."""
     half = window_sec / 2.0
     segs = []
     run_start = 0
@@ -266,7 +276,7 @@ def _segments_from_labels(
             t1 = (frame_index[i - 1] + 1) * hop_sec + half - hop_sec / 2.0
             segs.append((max(0.0, t0), t1, names[labels[run_start]]))
             run_start = i
-    return merge_contiguous(segs)
+    return segs
 
 
 def diarize(X: FeatureMatrix, cfg: DiarizerConfig) -> tuple[DiarizationHypothesis, dict]:
@@ -274,73 +284,61 @@ def diarize(X: FeatureMatrix, cfg: DiarizerConfig) -> tuple[DiarizationHypothesi
     segmental EM and greedy best-pair merging until the speaker-count target
     or no remaining pair improves the pooled likelihood.
 
-    In NO-SAD mode all frames participate and one extra state, initialized
-    from the masked non-speech frames, absorbs pauses; its output label is
-    the reserved non-speech label.
+    In oracle-SAD mode ``X`` holds speech frames only, with ``frame_index``
+    mapping rows back to their original frames. In NO-SAD mode all frames
+    participate and one extra state, initialized from the masked non-speech
+    frames, absorbs pauses; it is appended last and never merged, so it stays
+    last, and its output label is the reserved non-speech label.
     """
     data = X.data
-    n_frames = X.n_frames
-    frame_index = X.frame_index if X.frame_index is not None else np.arange(n_frames)
-    mask = X.speech_mask if X.speech_mask is not None else np.ones(n_frames, dtype=bool)
+    frame_index = X.frame_index if X.frame_index is not None else np.arange(X.n_frames)
+    mask = X.speech_mask if X.speech_mask is not None else np.ones(X.n_frames, dtype=bool)
 
     T = max(1, int(round(cfg.min_duration_sec / X.hop_sec)))
     m_s = cfg.components_per_initial_segment
 
-    speech_rows = np.where(mask)[0]
-    if cfg.no_sad_mode:
-        ns_rows = np.where(~mask)[0]
+    speech_rows = np.flatnonzero(mask)
+    has_ns = cfg.no_sad_mode
+    if has_ns:
+        ns_rows = np.flatnonzero(~mask)
         if len(ns_rows) < 2 * m_s:
             raise ValueError("NO-SAD mode needs non-speech frames (mask) to seed the extra state")
-    else:
-        if not mask.all():
-            data = data[speech_rows]
-            frame_index = frame_index[speech_rows]
-            n_frames = len(data)
-            speech_rows = np.arange(n_frames)
-        ns_rows = np.array([], dtype=np.int64)
+    elif len(speech_rows) < X.n_frames:
+        raise ValueError("oracle-SAD mode takes speech frames only; the speech mask marks non-speech rows")
 
     ranges = init_segmentation(len(speech_rows), cfg.initial_states, max(T, 2 * m_s))
     states = [
         gmm_mod.em_fit(data[speech_rows[lo:hi]], m_s, seed=cfg.seed + 101 * i)
         for i, (lo, hi) in enumerate(ranges)
     ]
-    ns_state: Gmm | None = None
-    if cfg.no_sad_mode:
-        ns_state = gmm_mod.em_fit(data[ns_rows], m_s, seed=cfg.seed + 7)
-        states = states + [ns_state]
-        ns_idx = len(states) - 1
-    else:
-        ns_idx = -1
+    if has_ns:
+        states.append(gmm_mod.em_fit(data[ns_rows], m_s, seed=cfg.seed + 7))
 
     model = HmmModel(states=states, min_dur_frames=T, self_loop_prob=cfg.self_loop_prob)
     em_history: list[float] = []
     merge_trace: list[dict] = []
     skipped_merge_pairs: list[dict] = []
     dropped_states: list[dict] = []
-    stop_reason = "max_outer_iters"
-    round_idx = -1
-
-    def align(model: HmmModel, em_round: int) -> tuple[HmmModel, np.ndarray]:
-        nonlocal ns_idx
+    stop_reason = None
+    # Every round aligns first; the round after a stop, or the last one,
+    # only aligns.
+    for round_idx in range(cfg.max_outer_iters + 1):
         n_in = model.n_states
         model, labels, hist, kept = segmental_em(model, data, max_iters=cfg.em_iters)
         em_history.extend(hist)
-        dropped_states.extend({"round": em_round, "state": k} for k in range(n_in) if k not in kept)
-        if ns_idx >= 0:
-            ns_idx = kept.index(ns_idx) if ns_idx in kept else -1
-        return model, labels
-
-    for round_idx in range(cfg.max_outer_iters):
-        model, labels = align(model, round_idx)
-        n_speaker_states = model.n_states - (1 if ns_idx >= 0 else 0)
+        dropped_states.extend({"round": round_idx, "state": k} for k in range(n_in) if k not in kept)
+        has_ns = has_ns and kept[-1] == n_in - 1
+        n_speaker_states = model.n_states - has_ns
+        if stop_reason or round_idx == cfg.max_outer_iters:
+            break
         if n_speaker_states <= cfg.n_speakers:
             stop_reason = "reached_target_states"
-            break
+            continue
 
-        own = {}  # state -> (its frames, its log-likelihood on them)
-        for k in range(model.n_states):
+        own = {}  # speaker state -> (its frames, its log-likelihood on them)
+        for k in range(n_speaker_states):
             frames = data[labels == k]
-            if k != ns_idx and len(frames):
+            if len(frames):
                 own[k] = (frames, model.states[k].log_likelihood(frames))
         candidates = []  # (gain, a, b, pooled mixture), in search order
         ids = list(own)
@@ -352,13 +350,12 @@ def diarize(X: FeatureMatrix, cfg: DiarizerConfig) -> tuple[DiarizationHypothesi
                     skipped_merge_pairs.append({"round": round_idx, "pair": [a, b], "reason": str(exc)})
                     continue
                 candidates.append((gain, a, b, merged))
-        gains = [c[0] for c in candidates]
-        if not gains or max(gains) <= 0:
+        ranked = sorted(candidates, key=lambda c: c[0], reverse=True)  # stable: the first of equal gains wins
+        if not ranked or ranked[0][0] <= 0:
             stop_reason = "no_positive_merge_gain"
-            break
-        best_pos = gains.index(max(gains))  # the first of equal gains
-        gain, a, b, merged = candidates[best_pos]
-        runner_up = max(gains[:best_pos] + gains[best_pos + 1 :], default=None)
+            continue
+        gain, a, b, merged = ranked[0]
+        runner_up = ranked[1][0] if len(ranked) > 1 else None
         merge_trace.append(
             {
                 "pair": [a, b],
@@ -369,26 +366,16 @@ def diarize(X: FeatureMatrix, cfg: DiarizerConfig) -> tuple[DiarizationHypothesi
             }
         )
         new_states = [merged if k == a else g for k, g in enumerate(model.states) if k != b]
-        if ns_idx > b:
-            ns_idx -= 1
         model = HmmModel(states=new_states, min_dur_frames=T, self_loop_prob=cfg.self_loop_prob)
-    model, labels = align(model, round_idx + 1)
 
-    names = []
-    spk = 0
-    for k in range(model.n_states):
-        if k == ns_idx:
-            names.append(NON_SPEECH_LABEL)
-        else:
-            names.append(f"spk{spk}")
-            spk += 1
+    names = [f"spk{k}" for k in range(n_speaker_states)] + [NON_SPEECH_LABEL] * has_ns
     segs = _segments_from_labels(labels, frame_index, X.hop_sec, X.window_sec, names)
     hyp = DiarizationHypothesis(segs)
     meta = {
         "final_states": model.n_states,
-        "final_speaker_states": model.n_states - (1 if ns_idx >= 0 else 0),
+        "final_speaker_states": n_speaker_states,
         "target_speakers": cfg.n_speakers,
-        "stop_reason": stop_reason,
+        "stop_reason": stop_reason or "max_outer_iters",
         "min_dur_frames": T,
         "em_path_log_prob": em_history,
         "merge_trace": merge_trace,

@@ -57,10 +57,6 @@ class FeatureMatrix:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def frame_center_times(self) -> np.ndarray:
-        idx = self.frame_index if self.frame_index is not None else np.arange(self.n_frames)
-        return idx * self.hop_sec + self.window_sec / 2.0
-
 
 def mel_from_hz(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -157,17 +153,6 @@ def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple]) -> np.ndarray
         start, end = seg[0], seg[1]
         mask |= (centers >= start) & (centers <= end)
     return mask
-
-
-def apply_sad(f: FeatureMatrix, sad_segments: list[tuple]) -> FeatureMatrix:
-    """Keep speech frames only, with an index map back to original frame
-    times."""
-    mask = speech_frame_mask(f, sad_segments)
-    if not mask.any():
-        raise ValueError("SAD segments select no frames")
-    base = f.frame_index if f.frame_index is not None else np.arange(f.n_frames)
-    kept = np.where(mask)[0]
-    return replace(f, data=f.data[kept], speech_mask=np.ones(len(kept), dtype=bool), frame_index=base[kept])
 
 
 def write_features(path: str, f: FeatureMatrix):

@@ -126,19 +126,12 @@ def kmeans_init(X: np.ndarray, n_components: int, seed: int) -> Gmm:
     return Gmm(weights=weights, means=means, variances=variances)
 
 
-def em_refine(
-    g: Gmm,
-    X: np.ndarray,
-    max_iters: int = 20,
-    tol: float = 1e-4,
-    floor: np.ndarray | None = None,
-) -> Gmm:
+def em_refine(g: Gmm, X: np.ndarray, max_iters: int = 20, tol: float = 1e-4) -> Gmm:
     """EM from an existing model (warm start), so the data log-likelihood is
     non-decreasing from the given parameters onward."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = len(X)
-    if floor is None:
-        floor = variance_floor(X)
+    floor = variance_floor(X)
     weights, means, variances = g.weights.copy(), g.means.copy(), g.variances.copy()
     history = []
     for _ in range(max_iters):

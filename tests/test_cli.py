@@ -113,6 +113,17 @@ def test_diarize_requires_sad_choice(synth_dir, tmp_path, capsys):
     assert rc == 2
 
 
+def test_config_mode_no_sad_equals_no_sad_flag(synth_dir, tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("mode = no-sad\n")
+    wavs = [os.path.join(synth_dir, f"ch{c}.wav") for c in range(2)]
+    common = ["diarize", *wavs, "--speakers", "2", "--features", "mfcc91", "--seed", "1", "--file-id", "s"]
+    by_flag, by_file = tmp_path / "flag.rttm", tmp_path / "file.rttm"
+    assert cli.main([*common, "--no-sad", "--out", str(by_flag)]) == 0
+    assert cli.main([*common, "--config", str(cfg_path), "--out", str(by_file)]) == 0
+    assert by_file.read_text() == by_flag.read_text()
+
+
 def test_diarize_single_speaker_rejected(synth_dir, tmp_path):
     rc = cli.main(
         [
@@ -353,6 +364,7 @@ def test_stage_flag_beats_config_file(tmp_path):
     [
         "learning_rate = -1", "self_loop_prob = 1.5", "min_duration_sec = 0",
         "sample_rate = 0", "bottleneck_dim = 0", "splice_left = -7", "splice_right = -1",
+        "initial_states = 0", "components_per_initial_segment = 0", "max_outer_iters = -1", "em_iters = -2",
     ],
 )  # fmt: skip
 def test_invalid_stage_value_in_config_exits_2(tmp_path, capsys, line):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diarkit import features
-from diarkit.features import FeatureMatrix, apply_sad, cmvn, concat_streams, mfcc, splice
+from diarkit import cli, features
+from diarkit.audio_io import MultiStreamAudio
+from diarkit.features import FeatureMatrix, cmvn, concat_streams, mfcc, splice
 
 
 def reference_mfcc(signal, rate=8000):
@@ -180,30 +181,49 @@ def test_splice_center_block_projection():
     np.testing.assert_array_equal(out.data[:, 5 * 6 : 6 * 6], f.data)
 
 
-def test_apply_sad_full_coverage_identity():
+def _noise_audio(seconds=3.0, rate=8000, seed=11):
+    rng = np.random.default_rng(seed)
+    return MultiStreamAudio([rng.normal(0.0, 0.1, int(seconds * rate)) for _ in range(2)], rate)
+
+
+def _session_features(audio, sad, mode):
+    cfg = cli.PipelineConfig(feature_kind="mfcc91", mode=mode)
+    feats, _ = cli.extract_session_features(audio, sad, cfg)
+    return feats
+
+
+def test_sad_full_coverage_keeps_every_frame():
     f = FeatureMatrix(np.random.default_rng(11).normal(size=(100, 2)))
-    out = apply_sad(f, [(0.0, 10.0)])
-    assert out.n_frames == 100
-    assert out.speech_mask.all()
+    assert features.speech_frame_mask(f, [(0.0, 10.0)]).all()
+    audio = _noise_audio()
+    oracle = _session_features(audio, [(0.0, 10.0)], "oracle-sad")
+    no_sad = _session_features(audio, [(0.0, 10.0)], "no-sad")
+    assert oracle.n_frames == no_sad.n_frames
+    np.testing.assert_array_equal(oracle.frame_index, np.arange(no_sad.n_frames))
+    np.testing.assert_array_equal(oracle.data, no_sad.data)
 
 
-def test_apply_sad_center_rule_count():
+def test_speech_frame_mask_center_rule_count():
     f = FeatureMatrix(np.random.default_rng(12).normal(size=(500, 2)))
-    out = apply_sad(f, [(1.0, 2.0)])
-    assert abs(out.n_frames - 100) <= 1
+    assert abs(features.speech_frame_mask(f, [(1.0, 2.0)]).sum() - 100) <= 1
 
 
-def test_apply_sad_index_round_trip():
-    f = FeatureMatrix(np.random.default_rng(13).normal(size=(300, 2)))
-    out = apply_sad(f, [(0.5, 1.0), (2.0, 2.5)])
-    all_times = f.frame_center_times()
-    np.testing.assert_allclose(out.frame_center_times(), all_times[out.frame_index])
+def test_oracle_sad_rows_are_no_sad_rows_at_frame_index():
+    audio = _noise_audio()
+    sad = [(0.5, 1.0), (2.0, 2.5)]
+    oracle = _session_features(audio, sad, "oracle-sad")
+    no_sad = _session_features(audio, sad, "no-sad")
+    np.testing.assert_array_equal(oracle.frame_index, np.flatnonzero(no_sad.speech_mask))
+    np.testing.assert_array_equal(oracle.data, no_sad.data[oracle.frame_index])
+    assert oracle.speech_mask is None
+    # every kept row's centre time lies inside a SAD segment
+    centres = oracle.frame_index * oracle.hop_sec + oracle.window_sec / 2.0
+    assert all(any(s <= t <= e for s, e in sad) for t in centres)
 
 
-def test_apply_sad_empty_selection():
-    f = FeatureMatrix(np.random.default_rng(14).normal(size=(50, 2)))
-    with pytest.raises(ValueError, match="no frames"):
-        apply_sad(f, [(100.0, 101.0)])
+def test_oracle_sad_empty_selection_refused():
+    with pytest.raises(ValueError, match="speech frames"):
+        _session_features(_noise_audio(), [(100.0, 101.0)], "oracle-sad")
 
 
 def test_feature_dump_round_trip(tmp_path):
