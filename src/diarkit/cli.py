@@ -286,6 +286,11 @@ def cmd_dominance(args) -> int:
     for path in (args.hyp, args.audio):
         if not os.path.exists(path):
             raise UsageError(f"file not found: {path}")
+    if not args.segment_len > 0:  # also false for NaN
+        raise UsageError(f"--segment-len must be positive, got {args.segment_len}")
+    f_lo, f_hi = wpe.BAND_HZ
+    if args.rate < 2 * f_hi:
+        raise UsageError(f"--rate must be >= {2 * f_hi:g} to hold the {f_lo:g}-{f_hi:g} Hz band, got {args.rate}")
     hyp = DiarizationHypothesis(scoring.rttm_read(args.hyp))
     audio = audio_io.load_session([args.audio], target_rate=args.rate)
     energies = wpe.segment_energy(audio.channels[0], hyp.segments, sample_rate=audio.sample_rate)

@@ -20,6 +20,11 @@ MODEL_VERSION = 1
 
 ACTIVATIONS = ("tanh", "sigmoid", "linear")
 
+# The per-epoch clean loss is measured on every (n // CLEAN_LOSS_ROWS)-th
+# training row: 512 to 1023 rows, or all of them below 1024. It is only
+# recorded, so no parameter depends on the sample.
+CLEAN_LOSS_ROWS = 512
+
 
 @dataclass
 class TrainConfig:
@@ -38,6 +43,11 @@ class TrainConfig:
             raise ValueError("corruption_level must lie in [0, 1]")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        for key in ("epochs", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.corruption_kind not in ("additive-gaussian", "masking"):
             raise ValueError(f"unknown corruption kind {self.corruption_kind!r}")
 
@@ -156,8 +166,10 @@ def _train_single_dae(X, n_hidden, enc_act, dec_act, cfg: TrainConfig, rng):
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
 
+    sample = X[:: max(1, n // CLEAN_LOSS_ROWS)]
+
     def clean_loss():
-        return _forward(weights, biases, acts, X, X)[0]
+        return _forward(weights, biases, acts, sample, sample)[0]
 
     losses = [clean_loss()]
     for epoch in range(cfg.epochs):
@@ -189,7 +201,8 @@ def pretrain_stack(
 ) -> Network:
     """Greedy layer-wise pretraining: a tanh/linear autoencoder on the raw
     features, then a sigmoid/sigmoid one on its codes. Deterministic given
-    the seed; per-epoch clean reconstruction losses are kept on the result.
+    the seed; per-epoch clean reconstruction losses, measured on a fixed
+    strided sample of the rows, are kept on the result.
     """
     X = features.data if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     if len(X) < cfg.batch_size:

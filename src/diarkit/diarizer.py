@@ -249,8 +249,7 @@ def _merge_fit(
     if len(pooled) < min_frames:
         raise ValueError(f"merge test needs at least {min_frames} pooled frames, got {len(pooled)}")
     merged = gmm_mod.em_refine(gmm_mod.merge_init(g1, g2), pooled, max_iters=refine_iters, tol=0.0)
-    gain = merged.log_likelihood(pooled) - (ll1 + ll2)
-    return float(gain), merged
+    return merged.fit_log_likelihood - (ll1 + ll2), merged
 
 
 def _segments_from_labels(

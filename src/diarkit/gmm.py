@@ -25,6 +25,9 @@ class Gmm:
     means: np.ndarray  # (M, dim)
     variances: np.ndarray  # (M, dim), diagonal covariances
     fit_history: list[float] = field(default_factory=list, repr=False, compare=False)
+    # Total log-likelihood of the data ``em_refine`` fitted, at these
+    # parameters; the merge test reads its gain from it.
+    fit_log_likelihood: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -48,7 +51,11 @@ class Gmm:
         squared distance expanded into matrix products. Data and means are
         centred on the mean of the component means first: the expansion
         subtracts terms of size (x / sigma)^2, which would swamp the distance
-        when both sit far from 0 relative to sigma."""
+        when both sit far from 0 relative to sigma.
+
+        The result is the transpose of a C-ordered (M, frames) array, so
+        ``.T`` gives component-major rows that reductions over components
+        walk contiguously."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.dim:
             raise ValueError(f"dim mismatch: data {X.shape[1]}, model {self.dim}")
@@ -58,15 +65,19 @@ class Gmm:
         const = np.log(self.weights) - 0.5 * (
             self.dim * LOG_2PI + np.log(self.variances).sum(axis=1) + (mc**2 * precision).sum(axis=1)
         )
-        return const - 0.5 * (Xc**2 @ precision.T) + Xc @ (mc * precision).T
+        return (const[:, None] - 0.5 * (precision @ (Xc**2).T) + (mc * precision) @ Xc.T).T
 
     def per_frame_log_likelihood(self, X: np.ndarray) -> np.ndarray:
-        lp = self.component_log_densities(X)
-        m = lp.max(axis=1, keepdims=True)
-        return (m + np.log(np.exp(lp - m).sum(axis=1, keepdims=True))).ravel()
+        return _log_sum_exp(self.component_log_densities(X).T)
 
     def log_likelihood(self, X: np.ndarray) -> float:
         return float(self.per_frame_log_likelihood(X).sum())
+
+
+def _log_sum_exp(lp: np.ndarray) -> np.ndarray:
+    """Per-frame log-sum-exp of a component-major (M, frames) array."""
+    m = lp.max(axis=0)
+    return m + np.log(np.exp(lp - m).sum(axis=0))
 
 
 def variance_floor(X: np.ndarray) -> np.ndarray:
@@ -130,31 +141,32 @@ def em_refine(g: Gmm, X: np.ndarray, max_iters: int = 20, tol: float = 1e-4) -> 
     """EM from an existing model (warm start), so the data log-likelihood is
     non-decreasing from the given parameters onward."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X2 = X**2
     n = len(X)
     floor = variance_floor(X)
     weights, means, variances = g.weights.copy(), g.means.copy(), g.variances.copy()
     history = []
     for _ in range(max_iters):
         model = Gmm(weights=weights, means=means, variances=variances)
-        lp = model.component_log_densities(X)
-        m = lp.max(axis=1, keepdims=True)
-        log_norm = m + np.log(np.exp(lp - m).sum(axis=1, keepdims=True))
+        lp = model.component_log_densities(X).T  # (M, frames)
+        log_norm = _log_sum_exp(lp)
         mean_ll = float(log_norm.mean())
         if not np.isfinite(mean_ll):
             raise RuntimeError(f"non-finite likelihood at EM iteration {len(history)}")
         history.append(mean_ll)
         resp = np.exp(lp - log_norm)
-        nk = resp.sum(axis=0)
+        nk = resp.sum(axis=1)
         weights = np.maximum(nk / n, WEIGHT_FLOOR)
         weights /= weights.sum()
-        safe_nk = np.maximum(nk, 1e-300)
-        means = (resp.T @ X) / safe_nk[:, None]
-        second = (resp.T @ (X**2)) / safe_nk[:, None]
-        variances = np.maximum(second - means**2, floor)
+        safe_nk = np.maximum(nk, 1e-300)[:, None]
+        means = (resp @ X) / safe_nk
+        variances = np.maximum((resp @ X2) / safe_nk - means**2, floor)
         if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
             break
     out = Gmm(weights=weights, means=means, variances=variances)
-    history.append(float(out.per_frame_log_likelihood(X).mean()))
+    final = out.per_frame_log_likelihood(X)
+    out.fit_log_likelihood = float(final.sum())
+    history.append(float(final.mean()))
     out.fit_history = history
     return out
 

@@ -39,6 +39,7 @@ DEC_LO = SYM6_SCALING[::-1].copy()
 DEC_HI = SYM6_SCALING * np.power(-1.0, np.arange(len(SYM6_SCALING)))
 
 DEFAULT_DEPTH = 6
+BAND_HZ = (50.0, 2000.0)  # the speech band whose energy dominance reads
 
 
 def _analyze(v: np.ndarray, filt: np.ndarray) -> np.ndarray:
@@ -112,7 +113,7 @@ def _gray_inverse(p: int) -> int:
     return k
 
 
-def band_energy(tree: WptTree, f_lo: float = 50.0, f_hi: float = 2000.0) -> float:
+def band_energy(tree: WptTree, f_lo: float = BAND_HZ[0], f_hi: float = BAND_HZ[1]) -> float:
     """Sum of squared coefficients over every leaf whose nominal band
     overlaps [f_lo, f_hi]."""
     nyquist = tree.sample_rate / 2.0
@@ -130,8 +131,8 @@ def segment_energy(
     channel: np.ndarray,
     segments: list[tuple],
     sample_rate: int = 8000,
-    f_lo: float = 50.0,
-    f_hi: float = 2000.0,
+    f_lo: float = BAND_HZ[0],
+    f_hi: float = BAND_HZ[1],
     depth: int = DEFAULT_DEPTH,
 ) -> np.ndarray:
     """Band-limited wavelet-packet energy of each ``(start, end, ...)``

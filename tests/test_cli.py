@@ -365,6 +365,7 @@ def test_stage_flag_beats_config_file(tmp_path):
         "learning_rate = -1", "self_loop_prob = 1.5", "min_duration_sec = 0",
         "sample_rate = 0", "bottleneck_dim = 0", "splice_left = -7", "splice_right = -1",
         "initial_states = 0", "components_per_initial_segment = 0", "max_outer_iters = -1", "em_iters = -2",
+        "epochs = 0", "epochs = -1", "batch_size = 0", "momentum = 1", "momentum = -0.1",
     ],
 )  # fmt: skip
 def test_invalid_stage_value_in_config_exits_2(tmp_path, capsys, line):
@@ -376,6 +377,21 @@ def test_invalid_stage_value_in_config_exits_2(tmp_path, capsys, line):
     rc = cli.main(["diarize", str(wav), "--sad", str(wav), "--config", str(cfg_path), "--out", str(out)])
     assert rc == 2
     assert line.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--segment-len", "0"), ("--segment-len", "-5"), ("--segment-len", "nan"),
+     ("--rate", "0"), ("--rate", "-8000"), ("--rate", "7")],
+)  # fmt: skip
+def test_dominance_bad_window_or_rate_exits_2(tmp_path, capsys, flag, value):
+    empty = tmp_path / "never_read"
+    empty.write_bytes(b"")  # validation must come before the RTTM and audio are read
+    out = tmp_path / "dom.csv"
+    rc = cli.main(["dominance", "--hyp", str(empty), "--audio", str(empty), flag, value, "--out", str(out)])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -117,6 +117,19 @@ def test_clean_loss_matches_loss_and_grads_exactly():
     assert net.train_losses[1][-1] == second
 
 
+def test_clean_loss_uses_a_fixed_strided_sample():
+    # 2000 rows: the clean loss reads every 2000 // 512 = 3rd row, taken
+    # without drawing from the training stream.
+    X = rank_one_features(n=2000, dim=12, seed=4)
+    net = pretrain_stack(X, TrainConfig(epochs=1, batch_size=256), seed=3, hidden_dim=6, bottleneck_dim=3)
+    w, b = net.weights, net.biases
+    first, _, _ = dae.loss_and_grads([w[0], w[3]], [b[0], b[3]], ["tanh", "linear"], X[::3], X[::3])
+    codes = np.tanh(X @ w[0] + b[0])
+    second, _, _ = dae.loss_and_grads([w[1], w[2]], [b[1], b[2]], ["sigmoid", "sigmoid"], codes[::3], codes[::3])
+    assert net.train_losses[0][-1] == first
+    assert net.train_losses[1][-1] == second
+
+
 def test_training_loss_mostly_non_increasing():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(512, 16)) @ rng.normal(size=(16, 16)) * 0.5

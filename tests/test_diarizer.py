@@ -120,7 +120,7 @@ def test_viterbi_tie_keeps_current_state_at_unit_duration():
 def test_log_emissions_match_direct_formula():
     rng = np.random.default_rng(16)
     dim = 5
-    states = [gmm.em_fit(rng.normal(loc=3.0 * m, size=(60, dim)), m, seed=m) for m in (1, 2, 3, 4)]
+    states = [gmm.em_fit(rng.normal(loc=3.0 * m, size=(60, dim)), m, seed=m) for m in (1, 2, 3, 4, 12)]
     # a non-speech state refit on digital silence: its first dimension is
     # the log floor on every frame, so EM floors that variance at
     # ABS_VAR_FLOOR, and its mean sits far from the speech states' means
@@ -303,6 +303,18 @@ def test_merge_gain_identical_sets_non_negative():
     X = rng.normal(size=(300, 4))
     g = gmm.em_fit(X, 2, seed=0)
     assert merge_gain(g, X, g, X) >= -1e-6
+
+
+def test_merge_gain_is_pooled_fit_total_minus_children():
+    # the gain reads the pooled fit's final likelihood pass; it must be the
+    # very total a fresh pass over the pooled frames gives
+    rng = np.random.default_rng(7)
+    X1, X2 = rng.normal(size=(200, 4)), rng.normal(0.5, 1.0, size=(150, 4))
+    g1, g2 = gmm.em_fit(X1, 2, seed=0), gmm.em_fit(X2, 3, seed=1)
+    pooled = np.vstack([X1, X2])
+    merged = gmm.em_refine(gmm.merge_init(g1, g2), pooled, max_iters=5, tol=0.0)
+    expected = merged.log_likelihood(pooled) - (g1.log_likelihood(X1) + g2.log_likelihood(X2))
+    assert merge_gain(g1, X1, g2, X2) == expected
 
 
 def test_merge_gain_needs_enough_frames():

@@ -63,10 +63,10 @@ def broadcast_log_densities(g, X):
     return np.log(g.weights) + const - 0.5 * quad
 
 
-@pytest.mark.parametrize("case", ["unit", "offset", "floored_constant"])
+@pytest.mark.parametrize("case", ["unit", "offset", "floored_constant", "twelve_components"])
 def test_component_log_densities_match_broadcast_formula(case):
     rng = np.random.default_rng(11)
-    M, dim = 3, 6
+    M, dim = (12 if case == "twelve_components" else 3), 6
     X = rng.normal(size=(100, dim))
     means = rng.normal(size=(M, dim))
     variances = rng.uniform(0.5, 2.0, size=(M, dim))
@@ -80,7 +80,8 @@ def test_component_log_densities_match_broadcast_formula(case):
         X[:, 0] = 7.0
         means[:, 0] = 7.0
         variances[:, 0] = gmm.ABS_VAR_FLOOR
-    g = Gmm(weights=[0.2, 0.3, 0.5], means=means, variances=variances)
+    weights = rng.dirichlet(np.ones(M)) if M != 3 else [0.2, 0.3, 0.5]
+    g = Gmm(weights=weights, means=means, variances=variances)
     np.testing.assert_allclose(g.component_log_densities(X), broadcast_log_densities(g, X), rtol=0, atol=1e-9)
 
 
@@ -185,3 +186,11 @@ def test_em_refine_warm_start_is_monotone_from_given_params():
     start_ll = g0.log_likelihood(X)
     g1 = em_refine(g0, X, max_iters=10)
     assert g1.log_likelihood(X) >= start_ll - 1e-8
+
+
+def test_em_refine_records_its_final_total_log_likelihood():
+    rng = np.random.default_rng(12)
+    X = np.vstack([rng.normal(0.0, 1.0, size=(150, 3)), rng.normal(4.0, 1.0, size=(150, 3))])
+    g = em_refine(kmeans_init(X, 3, seed=0), X, max_iters=5, tol=0.0)
+    assert g.fit_log_likelihood == g.log_likelihood(X)
+    assert g.fit_history[-1] == float(g.per_frame_log_likelihood(X).mean())
