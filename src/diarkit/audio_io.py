@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.io import wavfile
 
-from .segments import DiarizationHypothesis, merge_contiguous, validate_segments
+from .segments import DiarizationHypothesis, validate_segments
 
 DEFAULT_RATE = 8000
 HOP_SEC = 0.010
@@ -386,16 +386,11 @@ def read_segments(path: str) -> list[tuple]:
     return validate_segments(out) if 3 in kinds else sorted(out)
 
 
-def write_segments(path: str, segments: list[tuple]):
+def write_segments(path: str, segments: list[tuple[float, float]]):
     with open(path, "w", encoding="utf-8") as fh:
-        for seg in segments:
-            if len(seg) == 3:
-                fh.write(f"{seg[0]:.3f} {seg[1]:.3f} {seg[2]}\n")
-            else:
-                fh.write(f"{seg[0]:.3f} {seg[1]:.3f}\n")
+        fh.writelines(f"{start:.3f} {end:.3f}\n" for start, end in segments)
 
 
 def sad_from_script(script: SessionScript) -> list[tuple[float, float]]:
-    """Speech-activity intervals implied by a script's events."""
-    merged = merge_contiguous([(s, s + d, "speech") for _, s, d in script.events])
-    return [(s, e) for s, e, _ in merged]
+    """Speech-activity intervals implied by a script's events, one per event."""
+    return [(s, s + d) for _, s, d in script.events]

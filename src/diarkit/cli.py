@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -64,10 +65,8 @@ class PipelineConfig:
 
     def stage(self, cls):
         """A stage config (``MfccConfig``, ``TrainConfig``, ``DiarizerConfig``)
-        from the fields of the same name; the filterbank top and the no-SAD
-        switch are derived, not keys."""
-        values = dict(dataclasses.asdict(self), fmax_hz=self.sample_rate / 2.0, no_sad_mode=self.mode == "no-sad")
-        return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
+        from the fields of the same name; every stage field is a key."""
+        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
 
     def validate(self):
         if self.feature_kind not in ("bnf", "mfcc91"):
@@ -77,6 +76,14 @@ class PipelineConfig:
         for key, low in (("sample_rate", 1), ("bottleneck_dim", 1), ("splice_left", 0), ("splice_right", 0)):
             if getattr(self, key) < low:
                 raise UsageError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        for key in ("window_sec", "hop_sec"):
+            if not (0.5 < getattr(self, key) * self.sample_rate < math.inf):  # rounds to >= 1 sample; false for NaN
+                raise UsageError(
+                    f"{key} must be finite and at least one sample at {self.sample_rate} Hz, got {getattr(self, key)}"
+                )
+        window = round(self.window_sec * self.sample_rate)
+        if self.n_fft < window:
+            raise UsageError(f"n_fft must be >= the window length ({window} samples), got {self.n_fft}")
         try:
             for cls in (features.MfccConfig, dae.TrainConfig, DiarizerConfig):
                 self.stage(cls)
@@ -148,13 +155,6 @@ def _atomic_write(path: str, payload: str | bytes):
         raise
 
 
-def _heuristic_ns_mask(c0: np.ndarray, fraction: float = 0.15) -> np.ndarray:
-    """Label the lowest-energy fraction of frames as non-speech, using the
-    first cepstral coefficient as a frame energy proxy."""
-    threshold = np.quantile(c0, fraction)
-    return c0 > threshold
-
-
 def extract_session_features(
     audio: audio_io.MultiStreamAudio,
     sad_segments: list[tuple] | None,
@@ -177,8 +177,10 @@ def extract_session_features(
     else:
         if cfg.mode != "no-sad":
             raise UsageError("oracle-sad mode requires a SAD segments file")
+        # The lowest-energy 15% of frames are non-speech, with the first
+        # cepstral coefficient, averaged over channels, as the frame energy.
         c0 = np.mean([f.data[:, 0] for f in raw], axis=0)
-        mask = _heuristic_ns_mask(c0)
+        mask = c0 > np.quantile(c0, 0.15)
     normalized = [features.cmvn(f, mask) for f in raw]
     combined = dataclasses.replace(features.concat_streams(normalized), speech_mask=mask)
 
@@ -214,6 +216,12 @@ def extract_session_features(
 def cmd_synth(args) -> int:
     if not os.path.exists(args.script):
         raise UsageError(f"script file not found: {args.script}")
+    if args.channels < 1:
+        raise UsageError(f"--channels must be >= 1, got {args.channels}")
+    if not (0.0 <= args.max_delay_ms <= audio_io.MAX_DELAY_MS):  # also false for NaN
+        raise UsageError(f"--max-delay-ms must lie in [0, {audio_io.MAX_DELAY_MS:g}], got {args.max_delay_ms}")
+    if args.rate < 1:
+        raise UsageError(f"--rate must be >= 1, got {args.rate}")
     with open(args.script, encoding="utf-8") as fh:
         script = audio_io.SessionScript.from_json(fh.read())
     seed = args.seed if args.seed is not None else _env_seed(0)
@@ -237,9 +245,10 @@ def cmd_synth(args) -> int:
 def _load_inputs(args) -> tuple[PipelineConfig, audio_io.MultiStreamAudio, list[tuple] | None]:
     """Input step of ``diarize`` and ``features``: the config, the session
     audio at the configured rate, and the SAD segments if given."""
-    for path in args.audio:
-        if not os.path.exists(path):
-            raise UsageError(f"audio file not found: {path}")
+    named = [("audio", path) for path in args.audio] + [("SAD", args.sad), ("config", args.config)]
+    for what, path in named:
+        if path is not None and not os.path.exists(path):
+            raise UsageError(f"{what} file not found: {path}")
     cfg = build_pipeline_config(args)
     if args.sad is None and cfg.mode != "no-sad":
         raise UsageError("either --sad FILE or --no-sad is required")
@@ -272,6 +281,8 @@ def cmd_score(args) -> int:
     for path in (args.ref, args.hyp):
         if not os.path.exists(path):
             raise UsageError(f"file not found: {path}")
+    if not (0.0 <= args.collar < math.inf):  # also false for NaN
+        raise UsageError(f"--collar must be a finite value >= 0, got {args.collar}")
     ref = scoring.rttm_read(args.ref)
     hyp = scoring.rttm_read(args.hyp)
     breakdown = scoring.score_der(ref, hyp, collar_sec=args.collar)

@@ -18,7 +18,8 @@ from .features import FeatureMatrix
 MODEL_MAGIC = b"SDAE"
 MODEL_VERSION = 1
 
-ACTIVATIONS = ("tanh", "sigmoid", "linear")
+# The one layout: encoder tanh then sigmoid, decoder sigmoid then linear.
+ACTIVATIONS = ("tanh", "sigmoid", "sigmoid", "linear")
 
 # The per-epoch clean loss is measured on every (n // CLEAN_LOSS_ROWS)-th
 # training row: 512 to 1023 rows, or all of them below 1024. It is only
@@ -41,8 +42,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.corruption_level <= 1.0):
             raise ValueError("corruption_level must lie in [0, 1]")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (0 < self.learning_rate < np.inf):  # also false for NaN
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         for key in ("epochs", "batch_size"):
@@ -54,38 +55,40 @@ class TrainConfig:
 
 @dataclass
 class Network:
-    """Symmetric 5-layer autoencoder; layers 0..1 are the encoder."""
+    """Symmetric 5-layer autoencoder with the ``ACTIVATIONS`` layout; layers
+    0..1 are the encoder. Layer sizes are read from the weight shapes."""
 
-    layer_dims: list[int]
     weights: list[np.ndarray]  # (n_in, n_out) per transition
     biases: list[np.ndarray]
-    activations: list[str]
     train_losses: list[list[float]] = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.weights) != len(self.layer_dims) - 1:
-            raise ValueError("one weight matrix per layer transition required")
+        if len(self.weights) != len(ACTIVATIONS) or len(self.biases) != len(ACTIVATIONS):
+            raise ValueError(f"need {len(ACTIVATIONS)} weight matrices and bias vectors, got {len(self.weights)}")
+        dims = self.layer_dims
+        if dims != dims[::-1]:
+            raise ValueError(f"layer sizes {dims} are not symmetric")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (self.layer_dims[i], self.layer_dims[i + 1]) or b.shape != (self.layer_dims[i + 1],):
+            if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
                 raise ValueError(f"layer {i} parameter shape mismatch")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i} has non-finite parameters")
-        for a in self.activations:
-            if a not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {a!r}")
+
+    @property
+    def layer_dims(self) -> list[int]:
+        return [w.shape[0] for w in self.weights] + [self.weights[-1].shape[-1]]
 
     @property
     def input_dim(self) -> int:
-        return self.layer_dims[0]
+        return self.weights[0].shape[0]
 
     @property
     def bottleneck_dim(self) -> int:
-        return self.layer_dims[len(self.layer_dims) // 2]
+        return self.weights[1].shape[-1]
 
     def encode(self, X: np.ndarray) -> np.ndarray:
         a = np.asarray(X, dtype=np.float64)
-        half = len(self.weights) // 2
-        for w, b, act in zip(self.weights[:half], self.biases[:half], self.activations[:half]):
+        for w, b, act in zip(self.weights[:2], self.biases[:2], ACTIVATIONS[:2]):
             a = _act(a @ w + b, act)
         return a
 
@@ -157,12 +160,11 @@ def loss_and_grads(
     return loss, grads_w[::-1], grads_b[::-1]
 
 
-def _train_single_dae(X, n_hidden, enc_act, dec_act, cfg: TrainConfig, rng):
+def _train_single_dae(X, n_hidden, acts, cfg: TrainConfig, rng):
     n, n_in = X.shape
     w_enc, b_enc = _init_layer(n_in, n_hidden, rng)
     w_dec, b_dec = _init_layer(n_hidden, n_in, rng)
     weights, biases = [w_enc, w_dec], [b_enc, b_dec]
-    acts = [enc_act, dec_act]
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
 
@@ -207,18 +209,15 @@ def pretrain_stack(
     X = features.data if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     if len(X) < cfg.batch_size:
         raise ValueError(f"need at least {cfg.batch_size} frames to train (got {len(X)})")
-    n_in = X.shape[1]
     rng = np.random.default_rng(seed)
 
-    enc1, dec1, losses1 = _train_single_dae(X, hidden_dim, "tanh", "linear", cfg, rng)
-    codes = _act(X @ enc1[0] + enc1[1], "tanh")
-    enc2, dec2, losses2 = _train_single_dae(codes, bottleneck_dim, "sigmoid", "sigmoid", cfg, rng)
+    enc1, dec1, losses1 = _train_single_dae(X, hidden_dim, ACTIVATIONS[::3], cfg, rng)
+    codes = _act(X @ enc1[0] + enc1[1], ACTIVATIONS[0])
+    enc2, dec2, losses2 = _train_single_dae(codes, bottleneck_dim, ACTIVATIONS[1:3], cfg, rng)
 
     return Network(
-        layer_dims=[n_in, hidden_dim, bottleneck_dim, hidden_dim, n_in],
         weights=[enc1[0], enc2[0], dec2[0], dec1[0]],
         biases=[enc1[1], enc2[1], dec2[1], dec1[1]],
-        activations=["tanh", "sigmoid", "sigmoid", "linear"],
         train_losses=[losses1, losses2],
     )
 
@@ -228,13 +227,12 @@ def random_network(input_dim: int, hidden_dim: int, bottleneck_dim: int, seed: i
     checks)."""
     rng = np.random.default_rng(seed)
     dims = [input_dim, hidden_dim, bottleneck_dim, hidden_dim, input_dim]
-    acts = ["tanh", "sigmoid", "sigmoid", "linear"]
     weights, biases = [], []
     for i in range(4):
         w, b = _init_layer(dims[i], dims[i + 1], rng)
         weights.append(w)
         biases.append(rng.normal(0.0, 0.1, size=b.shape))
-    return Network(layer_dims=dims, weights=weights, biases=biases, activations=acts)
+    return Network(weights=weights, biases=biases)
 
 
 def bottleneck(net: Network, f: FeatureMatrix) -> FeatureMatrix:
@@ -267,5 +265,4 @@ def load_network(path: str) -> Network:
             b = np.frombuffer(fh.read(8 * dims[i + 1]), dtype="<f8")
             weights.append(w.copy())
             biases.append(b.copy())
-    acts = ["tanh"] + ["sigmoid"] * (n_dims - 3) + ["linear"]
-    return Network(layer_dims=dims, weights=weights, biases=biases, activations=acts)
+    return Network(weights=weights, biases=biases)

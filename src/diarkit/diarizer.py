@@ -21,6 +21,9 @@ from .features import FeatureMatrix
 from .gmm import Gmm
 from .segments import NON_SPEECH_LABEL, DiarizationHypothesis
 
+# EM iterations a merge trial runs on the pooled frames.
+MERGE_REFINE_ITERS = 5
+
 
 @dataclass
 class DiarizerConfig:
@@ -28,7 +31,6 @@ class DiarizerConfig:
     initial_states: int = 12
     min_duration_sec: float = 0.5
     components_per_initial_segment: int = 2
-    no_sad_mode: bool = False
     self_loop_prob: float = 0.9
     max_outer_iters: int = 30
     em_iters: int = 5
@@ -37,8 +39,8 @@ class DiarizerConfig:
     def __post_init__(self):
         if self.n_speakers < 2:
             raise ValueError("need at least 2 speakers")
-        if self.min_duration_sec <= 0:
-            raise ValueError("min_duration_sec must be positive")
+        if not (0 < self.min_duration_sec < np.inf):  # also false for NaN
+            raise ValueError(f"min_duration_sec must be positive and finite, got {self.min_duration_sec}")
         if not (0 < self.self_loop_prob < 1):
             raise ValueError("self_loop_prob must lie in (0, 1)")
         for key, low in (
@@ -226,7 +228,7 @@ def segmental_em(
     return model, labels, history, kept
 
 
-def merge_gain(g1: Gmm, X1: np.ndarray, g2: Gmm, X2: np.ndarray, refine_iters: int = 5) -> float:
+def merge_gain(g1: Gmm, X1: np.ndarray, g2: Gmm, X2: np.ndarray) -> float:
     """Log-likelihood gain of modeling the pooled frames with one pooled
     mixture versus the children modeling their own frames.
 
@@ -234,13 +236,11 @@ def merge_gain(g1: Gmm, X1: np.ndarray, g2: Gmm, X2: np.ndarray, refine_iters: i
     children's total parameter count, so no penalty term is needed.
     """
     X1, X2 = np.atleast_2d(X1), np.atleast_2d(X2)
-    gain, _ = _merge_fit(g1, X1, g1.log_likelihood(X1), g2, X2, g2.log_likelihood(X2), refine_iters)
+    gain, _ = _merge_fit(g1, X1, g1.log_likelihood(X1), g2, X2, g2.log_likelihood(X2))
     return gain
 
 
-def _merge_fit(
-    g1: Gmm, X1: np.ndarray, ll1: float, g2: Gmm, X2: np.ndarray, ll2: float, refine_iters: int = 5
-) -> tuple[float, Gmm]:
+def _merge_fit(g1: Gmm, X1: np.ndarray, ll1: float, g2: Gmm, X2: np.ndarray, ll2: float) -> tuple[float, Gmm]:
     """``merge_gain`` given each child's log-likelihood on its own frames,
     which the merge search computes once per state per round; also returns
     the pooled mixture."""
@@ -248,7 +248,7 @@ def _merge_fit(
     min_frames = 2 * (g1.n_components + g2.n_components)
     if len(pooled) < min_frames:
         raise ValueError(f"merge test needs at least {min_frames} pooled frames, got {len(pooled)}")
-    merged = gmm_mod.em_refine(gmm_mod.merge_init(g1, g2), pooled, max_iters=refine_iters, tol=0.0)
+    merged = gmm_mod.em_refine(gmm_mod.merge_init(g1, g2), pooled, max_iters=MERGE_REFINE_ITERS, tol=0.0)
     return merged.fit_log_likelihood - (ll1 + ll2), merged
 
 
@@ -283,27 +283,25 @@ def diarize(X: FeatureMatrix, cfg: DiarizerConfig) -> tuple[DiarizationHypothesi
     segmental EM and greedy best-pair merging until the speaker-count target
     or no remaining pair improves the pooled likelihood.
 
-    In oracle-SAD mode ``X`` holds speech frames only, with ``frame_index``
-    mapping rows back to their original frames. In NO-SAD mode all frames
-    participate and one extra state, initialized from the masked non-speech
-    frames, absorbs pauses; it is appended last and never merged, so it stays
-    last, and its output label is the reserved non-speech label.
+    Without a ``speech_mask`` (oracle-SAD mode) ``X`` holds speech frames
+    only, with ``frame_index`` mapping rows back to their original frames.
+    With one (NO-SAD mode) all frames participate and one extra state,
+    initialized from the masked non-speech frames, absorbs pauses; it is
+    appended last and never merged, so it stays last, and its output label is
+    the reserved non-speech label.
     """
     data = X.data
     frame_index = X.frame_index if X.frame_index is not None else np.arange(X.n_frames)
-    mask = X.speech_mask if X.speech_mask is not None else np.ones(X.n_frames, dtype=bool)
+    has_ns = X.speech_mask is not None
 
     T = max(1, int(round(cfg.min_duration_sec / X.hop_sec)))
     m_s = cfg.components_per_initial_segment
 
-    speech_rows = np.flatnonzero(mask)
-    has_ns = cfg.no_sad_mode
+    speech_rows = np.flatnonzero(X.speech_mask) if has_ns else np.arange(X.n_frames)
     if has_ns:
-        ns_rows = np.flatnonzero(~mask)
+        ns_rows = np.flatnonzero(~X.speech_mask)
         if len(ns_rows) < 2 * m_s:
             raise ValueError("NO-SAD mode needs non-speech frames (mask) to seed the extra state")
-    elif len(speech_rows) < X.n_frames:
-        raise ValueError("oracle-SAD mode takes speech frames only; the speech mask marks non-speech rows")
 
     ranges = init_segmentation(len(speech_rows), cfg.initial_states, max(T, 2 * m_s))
     states = [
@@ -380,6 +378,6 @@ def diarize(X: FeatureMatrix, cfg: DiarizerConfig) -> tuple[DiarizationHypothesi
         "merge_trace": merge_trace,
         "skipped_merge_pairs": skipped_merge_pairs,
         "dropped_states": dropped_states,
-        "no_sad_mode": cfg.no_sad_mode,
+        "no_sad_mode": X.speech_mask is not None,
     }
     return hyp, meta

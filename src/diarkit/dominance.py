@@ -24,7 +24,6 @@ FEATURE_NAMES = ("turns", "spts", "spens")
 @dataclass
 class DominanceReport:
     speakers: list[str]
-    segment_len_sec: float
     turns: np.ndarray  # (windows, speakers)
     spts: np.ndarray
     spens: np.ndarray
@@ -142,7 +141,6 @@ def dominance_report(
     comb, axis, eigvals = normalize_and_combine(cues)
     return DominanceReport(
         speakers=speakers,
-        segment_len_sec=segment_len_sec,
         turns=cues[..., 0],
         spts=cues[..., 1],
         spens=cues[..., 2],

@@ -13,6 +13,9 @@ from scipy.fft import dct
 
 FEATURE_MAGIC = b"FEA1"
 
+# Mel energies are floored here before the log.
+LOG_FLOOR = 1e-10
+
 
 @dataclass
 class MfccConfig:
@@ -21,10 +24,15 @@ class MfccConfig:
     hop_sec: float = 0.010
     n_fft: int = 256
     n_mels: int = 26
-    fmin_hz: float = 0.0
-    fmax_hz: float = 4000.0
-    log_floor: float = 1e-10
     n_coeffs: int = 13
+
+    def __post_init__(self):
+        if not (0.0 <= self.pre_emphasis <= 1.0):  # also false for NaN
+            raise ValueError(f"pre_emphasis must lie in [0, 1], got {self.pre_emphasis}")
+        if self.n_mels < 1:
+            raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
+        if not (1 <= self.n_coeffs <= self.n_mels):
+            raise ValueError(f"n_coeffs must lie in [1, n_mels = {self.n_mels}], got {self.n_coeffs}")
 
 
 @dataclass
@@ -66,9 +74,10 @@ def hz_from_mel(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int, n_fft: int, rate: int, fmin: float, fmax: float) -> np.ndarray:
-    """Triangular filters on the mel scale, evaluated at rfft bin centers."""
-    edges = hz_from_mel(np.linspace(mel_from_hz(fmin), mel_from_hz(fmax), n_mels + 2))
+def mel_filterbank(n_mels: int, n_fft: int, rate: int) -> np.ndarray:
+    """Triangular filters on the mel scale from 0 Hz to the Nyquist
+    frequency, evaluated at rfft bin centers."""
+    edges = hz_from_mel(np.linspace(0.0, mel_from_hz(rate / 2.0), n_mels + 2))
     bins_hz = np.arange(n_fft // 2 + 1) * rate / n_fft
     fb = np.zeros((n_mels, n_fft // 2 + 1))
     for m in range(n_mels):
@@ -94,8 +103,8 @@ def mfcc(signal: np.ndarray, rate: int, config: MfccConfig | None = None) -> Fea
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = emphasized[idx] * np.hamming(win)
     spectrum = np.abs(np.fft.rfft(frames, n=cfg.n_fft, axis=1)) ** 2
-    fb = mel_filterbank(cfg.n_mels, cfg.n_fft, rate, cfg.fmin_hz, cfg.fmax_hz)
-    logmel = np.log(np.maximum(spectrum @ fb.T, cfg.log_floor))
+    fb = mel_filterbank(cfg.n_mels, cfg.n_fft, rate)
+    logmel = np.log(np.maximum(spectrum @ fb.T, LOG_FLOOR))
     coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_coeffs]
     return FeatureMatrix(coeffs, hop_sec=cfg.hop_sec, window_sec=cfg.window_sec)
 

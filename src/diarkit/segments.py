@@ -10,9 +10,6 @@ from dataclasses import dataclass, field
 
 NON_SPEECH_LABEL = "NS"
 
-# Two segments closer than this are considered time-contiguous.
-CONTIGUITY_EPS = 1e-6
-
 # RTTM times carry 3 decimals, so segments read back from disk may overlap
 # by up to a rounding step without being genuinely overlapped speech.
 ROUNDING_TOL = 2e-3
@@ -63,18 +60,3 @@ class DiarizationHypothesis:
 
     def duration(self) -> float:
         return self.segments[-1][1] if self.segments else 0.0
-
-
-def merge_contiguous(segments: list[tuple[float, float, str]]) -> list[tuple[float, float, str]]:
-    """Fuse time-adjacent segments that carry the same label.
-
-    Same-label segments separated by a gap (e.g. removed non-speech) are
-    kept apart.
-    """
-    merged: list[tuple[float, float, str]] = []
-    for seg in sorted(segments, key=lambda s: s[0]):
-        if merged and merged[-1][2] == seg[2] and seg[0] - merged[-1][1] <= CONTIGUITY_EPS:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], seg[1]), seg[2])
-        else:
-            merged.append(seg)
-    return merged

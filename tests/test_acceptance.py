@@ -122,7 +122,7 @@ def test_criterion_4_dae_gradients_and_compression():
     net = dae.random_network(7, 4, 2, seed=42)
     rng = np.random.default_rng(7)
     X = rng.normal(size=(6, 7))
-    _, gw, gb = dae.loss_and_grads(net.weights, net.biases, net.activations, X, X)
+    _, gw, gb = dae.loss_and_grads(net.weights, net.biases, dae.ACTIVATIONS, X, X)
     h = 1e-5
     worst = 0.0
     n_checked = 0
@@ -132,9 +132,9 @@ def test_criterion_4_dae_gradients_and_compression():
             for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up, _, _ = dae.loss_and_grads(net.weights, net.biases, net.activations, X, X)
+                up, _, _ = dae.loss_and_grads(net.weights, net.biases, dae.ACTIVATIONS, X, X)
                 flat[idx] = orig - h
-                dn, _, _ = dae.loss_and_grads(net.weights, net.biases, net.activations, X, X)
+                dn, _, _ = dae.loss_and_grads(net.weights, net.biases, dae.ACTIVATIONS, X, X)
                 flat[idx] = orig
                 numeric = (up - dn) / (2 * h)
                 analytic = grads.reshape(-1)[idx]

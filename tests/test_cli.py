@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from diarkit import audio_io, cli, dae, scoring
+from diarkit import audio_io, cli, dae, features, scoring
 from diarkit.audio_io import SessionScript, VoiceSpec
+from diarkit.diarizer import DiarizerConfig
+from test_dae import write_model
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +335,12 @@ def test_config_keys_are_the_flat_namespace():
     assert {f.name for f in dataclasses.fields(cli.PipelineConfig)} == CONFIG_KEYS
 
 
+@pytest.mark.parametrize("stage", [features.MfccConfig, dae.TrainConfig, DiarizerConfig])
+def test_every_stage_field_is_a_config_key(stage):
+    # `stage()` copies fields by name and derives nothing.
+    assert {f.name for f in dataclasses.fields(stage)} <= CONFIG_KEYS
+
+
 @pytest.mark.parametrize("command", ["diarize", "features"])
 def test_every_pipeline_flag_dest_is_a_config_key(command):
     for action in _subparser(command)._actions:
@@ -366,6 +374,9 @@ def test_stage_flag_beats_config_file(tmp_path):
         "sample_rate = 0", "bottleneck_dim = 0", "splice_left = -7", "splice_right = -1",
         "initial_states = 0", "components_per_initial_segment = 0", "max_outer_iters = -1", "em_iters = -2",
         "epochs = 0", "epochs = -1", "batch_size = 0", "momentum = 1", "momentum = -0.1",
+        "n_coeffs = 0", "n_coeffs = 40", "n_mels = 0", "pre_emphasis = nan", "n_fft = 8",
+        "window_sec = 0", "hop_sec = 0", "hop_sec = -0.01",
+        "min_duration_sec = nan", "min_duration_sec = inf", "learning_rate = nan",
     ],
 )  # fmt: skip
 def test_invalid_stage_value_in_config_exits_2(tmp_path, capsys, line):
@@ -423,3 +434,50 @@ def test_dae_model_must_fit_the_config(synth_dir, tmp_path, capsys, dims):
     assert rc == 2
     assert "stored network" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "hyp.meta.jsonl").exists()
+
+
+def test_dae_model_with_another_layout_refused(synth_dir, tmp_path):
+    # Four layer sizes: the input (286) and the third size (21) would pass
+    # the fit check, but the file holds only three layers.
+    model = str(tmp_path / "net.sdae")
+    write_model(model, (286, 91, 21, 91))
+    wavs = [os.path.join(synth_dir, f"ch{c}.wav") for c in range(2)]
+    out = tmp_path / "hyp.rttm"
+    sad = os.path.join(synth_dir, "sad.txt")
+    rc = cli.main(["diarize", *wavs, "--sad", sad, "--speakers", "2", "--dae-model", model, "--out", str(out)])
+    assert rc != 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--sad", "--config"])
+def test_missing_sad_or_config_file_exits_2(tmp_path, capsys, flag):
+    wav = tmp_path / "never_read.wav"
+    wav.write_bytes(b"")  # the check must come before the audio is loaded
+    out = tmp_path / "x.rttm"
+    argv = ["diarize", str(wav), "--no-sad", flag, str(tmp_path / "missing"), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "missing" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, named",
+    [("score", "--collar", "-1", "--collar"), ("score", "--collar", "nan", "--collar"),
+     ("score", "--collar", "inf", "--collar"), ("synth", "--channels", "0", "--channels"),
+     ("synth", "--max-delay-ms", "100", "--max-delay-ms"), ("synth", "--max-delay-ms", "-1", "--max-delay-ms"),
+     ("synth", "--rate", "0", "--rate"), ("diarize", "--min-dur", "nan", "min_duration_sec"),
+     ("diarize", "--min-dur", "inf", "min_duration_sec")],
+)  # fmt: skip
+def test_usage_errors_exit_2(script_file, tmp_path, capsys, command, flag, value, named):
+    empty = tmp_path / "never_read"
+    empty.write_bytes(b"")  # validation must come before any input is read
+    out = tmp_path / "out"
+    if command == "score":
+        argv = ["score", "--ref", str(empty), "--hyp", str(empty), "--json", str(out)]
+    elif command == "synth":
+        argv = ["synth", script_file, str(out)]
+    else:
+        argv = ["diarize", str(empty), "--sad", str(empty), "--out", str(out)]
+    assert cli.main([*argv, flag, value]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 
@@ -43,7 +44,7 @@ def test_gradients_match_finite_differences():
     net = dae.random_network(7, 4, 2, seed=42)
     rng = np.random.default_rng(7)
     X = rng.normal(size=(6, 7))
-    _, gw, gb = dae.loss_and_grads(net.weights, net.biases, net.activations, X, X)
+    _, gw, gb = dae.loss_and_grads(net.weights, net.biases, dae.ACTIVATIONS, X, X)
     h = 1e-5
     checks = 0
     worst = 0.0
@@ -54,9 +55,9 @@ def test_gradients_match_finite_differences():
             i, j = rng.integers(w.shape[0]), rng.integers(w.shape[1])
             orig = w[i, j]
             w[i, j] = orig + h
-            up, _, _ = dae.loss_and_grads(net.weights, net.biases, net.activations, X, X)
+            up, _, _ = dae.loss_and_grads(net.weights, net.biases, dae.ACTIVATIONS, X, X)
             w[i, j] = orig - h
-            dn, _, _ = dae.loss_and_grads(net.weights, net.biases, net.activations, X, X)
+            dn, _, _ = dae.loss_and_grads(net.weights, net.biases, dae.ACTIVATIONS, X, X)
             w[i, j] = orig
             numeric = (up - dn) / (2 * h)
             analytic = gw[li][i, j]
@@ -68,9 +69,9 @@ def test_gradients_match_finite_differences():
         j = rng.integers(b.shape[0])
         orig = b[j]
         b[j] = orig + h
-        up, _, _ = dae.loss_and_grads(net.weights, net.biases, net.activations, X, X)
+        up, _, _ = dae.loss_and_grads(net.weights, net.biases, dae.ACTIVATIONS, X, X)
         b[j] = orig - h
-        dn, _, _ = dae.loss_and_grads(net.weights, net.biases, net.activations, X, X)
+        dn, _, _ = dae.loss_and_grads(net.weights, net.biases, dae.ACTIVATIONS, X, X)
         b[j] = orig
         numeric = (up - dn) / (2 * h)
         rel = abs(numeric - gb[li][j]) / max(abs(numeric), abs(gb[li][j]), 1e-8)
@@ -232,12 +233,35 @@ def test_network_save_load_round_trip(tmp_path):
     save_network(net, str(path))
     back = load_network(str(path))
     assert back.layer_dims == net.layer_dims
-    assert back.activations == net.activations
     for w1, w2 in zip(net.weights, back.weights):
         assert np.array_equal(w1, w2)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(4, 9))
     np.testing.assert_array_equal(net.encode(X), back.encode(X))
+
+
+def write_model(path, dims, seed=0):
+    """A model file in the ``save_network`` format with any list of layer
+    sizes, including ones ``Network`` refuses."""
+    rng = np.random.default_rng(seed)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sII", dae.MODEL_MAGIC, dae.MODEL_VERSION, len(dims)))
+        fh.write(struct.pack(f"<{len(dims)}I", *dims))
+        for n_in, n_out in zip(dims, dims[1:]):
+            fh.write(rng.normal(size=(n_in, n_out)).astype("<f8").tobytes())
+            fh.write(rng.normal(size=n_out).astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [((286, 91, 21, 91), "need 4"), ((9, 5, 3, 4, 9), "not symmetric"), ((9, 5, 3, 5, 9, 5, 9), "need 4")],
+    ids=["four-sizes", "asymmetric", "seven-sizes"],
+)
+def test_load_network_refuses_other_layouts(tmp_path, dims, message):
+    path = tmp_path / "model.sdae"
+    write_model(path, dims)
+    with pytest.raises(ValueError, match=message):
+        load_network(str(path))
 
 
 def test_load_network_rejects_bad_magic(tmp_path):

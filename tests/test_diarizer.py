@@ -435,7 +435,7 @@ def test_diarize_no_sad_mode_emits_ns_label():
         mask.extend([False] * (block // 4))
     data = np.vstack(rows)
     f = FeatureMatrix(data, hop_sec=0.010, window_sec=0.025, speech_mask=np.array(mask))
-    cfg = DiarizerConfig(n_speakers=2, initial_states=6, min_duration_sec=0.2, no_sad_mode=True, seed=2)
+    cfg = DiarizerConfig(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=2)
     hyp, meta = diarize(f, cfg)
     assert meta["no_sad_mode"]
     labels = {lab for _, _, lab in hyp.segments}
@@ -455,22 +455,12 @@ def test_diarize_no_sad_drops_a_starved_non_speech_state():
     X[mid : mid + 4] = rng.normal(50.0, 0.5, size=(4, X.shape[1]))
     mask = np.ones(len(X), dtype=bool)
     mask[mid : mid + 4] = False
-    cfg = DiarizerConfig(n_speakers=2, initial_states=6, min_duration_sec=0.2, no_sad_mode=True, seed=0)
+    cfg = DiarizerConfig(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=0)
     with pytest.warns(UserWarning, match="state 6 lost all frames"):
         hyp, meta = diarize(make_feature_matrix(X, mask), cfg)
     assert all(lab != "NS" for _, _, lab in hyp.segments)
     assert {"round": 0, "state": 6} in meta["dropped_states"]
     assert meta["final_speaker_states"] == meta["final_states"]
-
-
-def test_diarize_oracle_mode_rejects_partial_speech_mask():
-    rng = np.random.default_rng(15)
-    X, _ = synthetic_session_features(rng, n_speakers=2, n_turns=10)
-    mask = np.ones(len(X), dtype=bool)
-    mask[100:150] = False
-    cfg = DiarizerConfig(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=0)
-    with pytest.raises(ValueError, match="speech frames only"):
-        diarize(make_feature_matrix(X, mask), cfg)
 
 
 def test_config_defaults_and_range_warning():

@@ -78,6 +78,14 @@ def test_mfcc_matches_independent_oracle():
     np.testing.assert_allclose(ours[10], theirs[10], atol=1e-6)
 
 
+def test_mfcc_library_band_is_the_pipeline_band():
+    # A library call gets the band the pipeline uses: 0 Hz to half the rate.
+    x = np.random.default_rng(5).normal(size=16000)
+    direct = mfcc(x, 16000, features.MfccConfig(n_fft=512))
+    staged = mfcc(x, 16000, cli.PipelineConfig(sample_rate=16000, n_fft=512).stage(features.MfccConfig))
+    np.testing.assert_array_equal(direct.data, staged.data)
+
+
 def test_mfcc_too_short_signal():
     with pytest.raises(ValueError, match="shorter"):
         mfcc(np.zeros(150), 8000)
