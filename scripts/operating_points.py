@@ -20,7 +20,8 @@ import warnings
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from diarkit import audio_io, cli, scoring
-from diarkit.diarizer import DiarizerConfig, diarize
+from diarkit.config import Config
+from diarkit.diarizer import diarize
 
 SWEEP_SEEDS = (0, 1, 2, 3)
 SWEEP_THREADS = ("1", "2")
@@ -38,7 +39,7 @@ def run_der(audio, reference, sad, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         feats, _ = cli.extract_session_features(audio, sad if cfg.mode == "oracle-sad" else None, cfg)
-        hyp, _ = diarize(feats, cfg.stage(DiarizerConfig))
+        hyp, _ = diarize(feats, cfg)
     return scoring.score_der(reference, hyp).der
 
 
@@ -61,7 +62,7 @@ def main():
     duration = 120.0 if "--quick" in sys.argv else 300.0
     if "--cell" in sys.argv:
         seed, duration = sys.argv[sys.argv.index("--cell") + 1 :][:2]
-        cfg = cli.PipelineConfig(n_speakers=4, min_duration_sec=0.5, seed=int(seed))
+        cfg = Config(n_speakers=4, min_duration_sec=0.5, seed=int(seed))
         print(f"{run_der(*session(float(duration)), cfg):.6f}")
         return 0
     if "--sweep" in sys.argv:
@@ -73,7 +74,7 @@ def main():
     for mode in ("oracle-sad", "no-sad"):
         for feature_kind in ("bnf", "mfcc91"):
             for t_min in (1.0, 0.5):
-                cfg = cli.PipelineConfig(
+                cfg = Config(
                     n_speakers=4,
                     min_duration_sec=t_min,
                     feature_kind=feature_kind,

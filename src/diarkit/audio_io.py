@@ -130,6 +130,10 @@ def _read_wav(path: str) -> tuple[int, np.ndarray]:
     elif data.dtype == np.int32:
         data = data.astype(np.float64) / 2147483648.0
     elif data.dtype in (np.float32, np.float64):
+        # min and max propagate NaN; unlike isfinite they allocate no mask
+        # as long as the audio.
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+            raise ValueError(f"non-finite samples in {path!r}")
         data = data.astype(np.float64)
     else:
         raise ValueError(f"unsupported WAV sample format {data.dtype} in {path!r}")

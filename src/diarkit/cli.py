@@ -16,12 +16,12 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import audio_io, dae, dominance, features, scoring, wpe
-from .diarizer import DiarizerConfig, diarize
+from .config import Config
+from .diarizer import diarize
 from .features import FeatureMatrix
 from .segments import DiarizationHypothesis
 
@@ -30,70 +30,10 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class PipelineConfig:
-    """Every tunable of the pipeline in one flat namespace. Stage-owned
-    defaults are read from the stage configs; ``stage`` hands a field back
-    to the stage config that has a field of the same name."""
-
-    sample_rate: int = 8000
-    pre_emphasis: float = features.MfccConfig.pre_emphasis
-    window_sec: float = features.MfccConfig.window_sec
-    hop_sec: float = features.MfccConfig.hop_sec
-    n_fft: int = features.MfccConfig.n_fft
-    n_mels: int = features.MfccConfig.n_mels
-    n_coeffs: int = features.MfccConfig.n_coeffs
-    splice_left: int = 5
-    splice_right: int = 5
-    feature_kind: str = "bnf"  # bnf | mfcc91
-    bottleneck_dim: int = 21
-    corruption_level: float = dae.TrainConfig.corruption_level
-    corruption_kind: str = dae.TrainConfig.corruption_kind
-    learning_rate: float = dae.TrainConfig.learning_rate
-    momentum: float = dae.TrainConfig.momentum
-    epochs: int = dae.TrainConfig.epochs
-    batch_size: int = dae.TrainConfig.batch_size
-    n_speakers: int = 4
-    initial_states: int = DiarizerConfig.initial_states
-    min_duration_sec: float = DiarizerConfig.min_duration_sec
-    components_per_initial_segment: int = DiarizerConfig.components_per_initial_segment
-    self_loop_prob: float = DiarizerConfig.self_loop_prob
-    em_iters: int = DiarizerConfig.em_iters
-    max_outer_iters: int = DiarizerConfig.max_outer_iters
-    mode: str = "oracle-sad"  # oracle-sad | no-sad
-    seed: int = DiarizerConfig.seed
-
-    def stage(self, cls):
-        """A stage config (``MfccConfig``, ``TrainConfig``, ``DiarizerConfig``)
-        from the fields of the same name; every stage field is a key."""
-        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
-
-    def validate(self):
-        if self.feature_kind not in ("bnf", "mfcc91"):
-            raise UsageError(f"unknown feature kind {self.feature_kind!r}")
-        if self.mode not in ("oracle-sad", "no-sad"):
-            raise UsageError(f"unknown mode {self.mode!r}")
-        for key, low in (("sample_rate", 1), ("bottleneck_dim", 1), ("splice_left", 0), ("splice_right", 0)):
-            if getattr(self, key) < low:
-                raise UsageError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        for key in ("window_sec", "hop_sec"):
-            if not (0.5 < getattr(self, key) * self.sample_rate < math.inf):  # rounds to >= 1 sample; false for NaN
-                raise UsageError(
-                    f"{key} must be finite and at least one sample at {self.sample_rate} Hz, got {getattr(self, key)}"
-                )
-        window = round(self.window_sec * self.sample_rate)
-        if self.n_fft < window:
-            raise UsageError(f"n_fft must be >= the window length ({window} samples), got {self.n_fft}")
-        try:
-            for cls in (features.MfccConfig, dae.TrainConfig, DiarizerConfig):
-                self.stage(cls)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-
 def load_config_file(path: str) -> dict:
-    """key=value per line, '#' comments; unknown keys are rejected."""
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
+    """key=value per line, '#' comments; unknown keys are rejected. Each
+    value is parsed as the type of its key's default."""
+    types = {f.name: type(f.default) for f in dataclasses.fields(Config)}
     out = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -103,9 +43,12 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}: line {lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in types:
                 raise UsageError(f"{path}: line {lineno}: unknown config key {key!r}")
-            out[key] = value
+            try:
+                out[key] = types[key](value)
+            except ValueError as exc:
+                raise UsageError(f"config key {key}: cannot parse {value!r}") from exc
     return out
 
 
@@ -120,25 +63,20 @@ def _env_seed(default: int) -> int:
         raise UsageError(f"DIARKIT_SEED must be an integer, got {value!r}") from exc
 
 
-def build_pipeline_config(args) -> PipelineConfig:
+def build_pipeline_config(args) -> Config:
     """Precedence: command line flags > config file > defaults (with
     DIARKIT_SEED standing in for the default seed). Every pipeline flag
     stores into the argparse ``dest`` named after its config key."""
-    cfg = PipelineConfig()
-    file_keys = load_config_file(args.config) if args.config else {}
-    for key, value in file_keys.items():
-        try:
-            setattr(cfg, key, type(getattr(cfg, key))(value))
-        except ValueError as exc:
-            raise UsageError(f"config key {key}: cannot parse {value!r}") from exc
-    for f in dataclasses.fields(cfg):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    if args.seed is None and "seed" not in file_keys:
-        cfg.seed = _env_seed(cfg.seed)
-    cfg.validate()
-    return cfg
+    values = load_config_file(args.config) if args.config else {}
+    if args.seed is None and "seed" not in values:
+        values["seed"] = _env_seed(Config.seed)
+    for f in dataclasses.fields(Config):
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+    try:
+        return Config(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _atomic_write(path: str, payload: str | bytes):
@@ -158,7 +96,7 @@ def _atomic_write(path: str, payload: str | bytes):
 def extract_session_features(
     audio: audio_io.MultiStreamAudio,
     sad_segments: list[tuple] | None,
-    cfg: PipelineConfig,
+    cfg: Config,
     net: dae.Network | None = None,
 ) -> tuple[FeatureMatrix, dae.Network | None]:
     """Feature stack shared by the subcommands: per-channel MFCC + CMVN,
@@ -170,8 +108,7 @@ def extract_session_features(
     attached in no-SAD mode (from the SAD file when given, otherwise from a
     low-energy heuristic). This is the one place that drops non-speech rows.
     """
-    mcfg = cfg.stage(features.MfccConfig)
-    raw = [features.mfcc(ch, audio.sample_rate, mcfg) for ch in audio.channels]
+    raw = [features.mfcc(ch, audio.sample_rate, cfg) for ch in audio.channels]
     if sad_segments is not None:
         mask = features.speech_frame_mask(raw[0], sad_segments)
     else:
@@ -195,13 +132,7 @@ def extract_session_features(
         return staged, None
 
     if net is None:
-        net = dae.pretrain_stack(
-            staged,
-            cfg.stage(dae.TrainConfig),
-            seed=cfg.seed,
-            hidden_dim=combined.dim,
-            bottleneck_dim=cfg.bottleneck_dim,
-        )
+        net = dae.pretrain_stack(staged, cfg, hidden_dim=combined.dim)
     elif (net.input_dim, net.bottleneck_dim) != (staged.dim, cfg.bottleneck_dim):
         raise UsageError(
             f"stored network maps {net.input_dim} -> {net.bottleneck_dim} dims; "
@@ -222,6 +153,8 @@ def cmd_synth(args) -> int:
         raise UsageError(f"--max-delay-ms must lie in [0, {audio_io.MAX_DELAY_MS:g}], got {args.max_delay_ms}")
     if args.rate < 1:
         raise UsageError(f"--rate must be >= 1, got {args.rate}")
+    if not math.isfinite(args.snr_db):
+        raise UsageError(f"--snr-db must be finite, got {args.snr_db}")
     with open(args.script, encoding="utf-8") as fh:
         script = audio_io.SessionScript.from_json(fh.read())
     seed = args.seed if args.seed is not None else _env_seed(0)
@@ -242,7 +175,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_inputs(args) -> tuple[PipelineConfig, audio_io.MultiStreamAudio, list[tuple] | None]:
+def _load_inputs(args) -> tuple[Config, audio_io.MultiStreamAudio, list[tuple] | None]:
     """Input step of ``diarize`` and ``features``: the config, the session
     audio at the configured rate, and the SAD segments if given."""
     named = [("audio", path) for path in args.audio] + [("SAD", args.sad), ("config", args.config)]
@@ -266,7 +199,7 @@ def cmd_diarize(args) -> int:
     if args.dae_model and net is not None and not os.path.exists(args.dae_model):
         dae.save_network(net, args.dae_model)
 
-    hyp, meta = diarize(feats, cfg.stage(DiarizerConfig))
+    hyp, meta = diarize(feats, cfg)
     file_id = args.file_id or os.path.splitext(os.path.basename(args.out))[0]
     _atomic_write(args.out, scoring.rttm_format(hyp, file_id=file_id))
     meta_path = args.meta or (os.path.splitext(args.out)[0] + ".meta.jsonl")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import Config
 from .features import FeatureMatrix
 
 MODEL_MAGIC = b"SDAE"
@@ -25,32 +26,6 @@ ACTIVATIONS = ("tanh", "sigmoid", "sigmoid", "linear")
 # training row: 512 to 1023 rows, or all of them below 1024. It is only
 # recorded, so no parameter depends on the sample.
 CLEAN_LOSS_ROWS = 512
-
-
-@dataclass
-class TrainConfig:
-    corruption_level: float = 0.2
-    # The loss sums squared error over every input dim (1001 for 7 spliced
-    # channels), so the step has to be small: at 0.01 SGD is chaotic and the
-    # trained features follow the BLAS summation order, i.e. the thread count.
-    learning_rate: float = 0.001
-    momentum: float = 0.05
-    epochs: int = 10
-    batch_size: int = 256
-    corruption_kind: str = "additive-gaussian"  # or "masking"
-
-    def __post_init__(self):
-        if not (0.0 <= self.corruption_level <= 1.0):
-            raise ValueError("corruption_level must lie in [0, 1]")
-        if not (0 < self.learning_rate < np.inf):  # also false for NaN
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        for key in ("epochs", "batch_size"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.corruption_kind not in ("additive-gaussian", "masking"):
-            raise ValueError(f"unknown corruption kind {self.corruption_kind!r}")
 
 
 @dataclass
@@ -118,16 +93,11 @@ def _init_layer(n_in: int, n_out: int, rng: np.random.Generator):
     return w, np.zeros(n_out)
 
 
-def corrupt(x: np.ndarray, kind: str, level: float, rng: np.random.Generator) -> np.ndarray:
-    """Additive Gaussian noise of std ``level``, or independent zero-masking
-    with probability ``level``. Identity at level 0."""
+def corrupt(x: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
+    """Additive Gaussian noise of std ``level``; identity at level 0."""
     if level == 0.0:
         return x
-    if kind == "additive-gaussian":
-        return x + rng.normal(0.0, level, size=x.shape)
-    if kind == "masking":
-        return x * (rng.random(x.shape) >= level)
-    raise ValueError(f"unknown corruption kind {kind!r}")
+    return x + rng.normal(0.0, level, size=x.shape)
 
 
 def _forward(weights, biases, activations, x_in, x_target):
@@ -160,7 +130,7 @@ def loss_and_grads(
     return loss, grads_w[::-1], grads_b[::-1]
 
 
-def _train_single_dae(X, n_hidden, acts, cfg: TrainConfig, rng):
+def _train_single_dae(X, n_hidden, acts, cfg: Config, rng):
     n, n_in = X.shape
     w_enc, b_enc = _init_layer(n_in, n_hidden, rng)
     w_dec, b_dec = _init_layer(n_hidden, n_in, rng)
@@ -179,7 +149,7 @@ def _train_single_dae(X, n_hidden, acts, cfg: TrainConfig, rng):
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             clean = X[idx]
-            noisy = corrupt(clean, cfg.corruption_kind, cfg.corruption_level, rng)
+            noisy = corrupt(clean, cfg.corruption_level, rng)
             loss, gw, gb = loss_and_grads(weights, biases, acts, noisy, clean)
             if not np.isfinite(loss):
                 raise RuntimeError(
@@ -194,26 +164,21 @@ def _train_single_dae(X, n_hidden, acts, cfg: TrainConfig, rng):
     return (w_enc, b_enc), (w_dec, b_dec), losses
 
 
-def pretrain_stack(
-    features: FeatureMatrix | np.ndarray,
-    cfg: TrainConfig,
-    seed: int,
-    hidden_dim: int = 91,
-    bottleneck_dim: int = 21,
-) -> Network:
+def pretrain_stack(features: FeatureMatrix | np.ndarray, cfg: Config, hidden_dim: int = 91) -> Network:
     """Greedy layer-wise pretraining: a tanh/linear autoencoder on the raw
-    features, then a sigmoid/sigmoid one on its codes. Deterministic given
-    the seed; per-epoch clean reconstruction losses, measured on a fixed
-    strided sample of the rows, are kept on the result.
+    features, then a sigmoid/sigmoid one on its codes down to
+    ``cfg.bottleneck_dim``. Deterministic given ``cfg.seed``; per-epoch clean
+    reconstruction losses, measured on a fixed strided sample of the rows,
+    are kept on the result.
     """
     X = features.data if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     if len(X) < cfg.batch_size:
         raise ValueError(f"need at least {cfg.batch_size} frames to train (got {len(X)})")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
 
     enc1, dec1, losses1 = _train_single_dae(X, hidden_dim, ACTIVATIONS[::3], cfg, rng)
     codes = _act(X @ enc1[0] + enc1[1], ACTIVATIONS[0])
-    enc2, dec2, losses2 = _train_single_dae(codes, bottleneck_dim, ACTIVATIONS[1:3], cfg, rng)
+    enc2, dec2, losses2 = _train_single_dae(codes, cfg.bottleneck_dim, ACTIVATIONS[1:3], cfg, rng)
 
     return Network(
         weights=[enc1[0], enc2[0], dec2[0], dec1[0]],

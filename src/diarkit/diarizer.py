@@ -17,46 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm as gmm_mod
+from .config import Config
 from .features import FeatureMatrix
 from .gmm import Gmm
 from .segments import NON_SPEECH_LABEL, DiarizationHypothesis
 
 # EM iterations a merge trial runs on the pooled frames.
 MERGE_REFINE_ITERS = 5
-
-
-@dataclass
-class DiarizerConfig:
-    n_speakers: int
-    initial_states: int = 12
-    min_duration_sec: float = 0.5
-    components_per_initial_segment: int = 2
-    self_loop_prob: float = 0.9
-    max_outer_iters: int = 30
-    em_iters: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_speakers < 2:
-            raise ValueError("need at least 2 speakers")
-        if not (0 < self.min_duration_sec < np.inf):  # also false for NaN
-            raise ValueError(f"min_duration_sec must be positive and finite, got {self.min_duration_sec}")
-        if not (0 < self.self_loop_prob < 1):
-            raise ValueError("self_loop_prob must lie in (0, 1)")
-        for key, low in (
-            ("initial_states", 1),
-            ("components_per_initial_segment", 1),
-            ("max_outer_iters", 0),
-            ("em_iters", 0),
-        ):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        lo, hi = 3 * self.n_speakers, 6 * self.n_speakers
-        if not (lo <= self.initial_states <= hi):
-            warnings.warn(
-                f"initial_states={self.initial_states} outside the recommended "
-                f"[{lo}, {hi}] for {self.n_speakers} speakers"
-            )
 
 
 @dataclass
@@ -228,22 +195,15 @@ def segmental_em(
     return model, labels, history, kept
 
 
-def merge_gain(g1: Gmm, X1: np.ndarray, g2: Gmm, X2: np.ndarray) -> float:
+def merge_gain(g1: Gmm, X1: np.ndarray, ll1: float, g2: Gmm, X2: np.ndarray, ll2: float) -> tuple[float, Gmm]:
     """Log-likelihood gain of modeling the pooled frames with one pooled
-    mixture versus the children modeling their own frames.
+    mixture versus the children modeling their own frames, given each
+    child's log-likelihood ``ll1``, ``ll2`` on its own frames; also returns
+    the pooled mixture.
 
     Positive gain accepts the merge hypothesis; the pooled model keeps the
     children's total parameter count, so no penalty term is needed.
     """
-    X1, X2 = np.atleast_2d(X1), np.atleast_2d(X2)
-    gain, _ = _merge_fit(g1, X1, g1.log_likelihood(X1), g2, X2, g2.log_likelihood(X2))
-    return gain
-
-
-def _merge_fit(g1: Gmm, X1: np.ndarray, ll1: float, g2: Gmm, X2: np.ndarray, ll2: float) -> tuple[float, Gmm]:
-    """``merge_gain`` given each child's log-likelihood on its own frames,
-    which the merge search computes once per state per round; also returns
-    the pooled mixture."""
     pooled = np.vstack([X1, X2])
     min_frames = 2 * (g1.n_components + g2.n_components)
     if len(pooled) < min_frames:
@@ -278,7 +238,7 @@ def _segments_from_labels(
     return segs
 
 
-def diarize(X: FeatureMatrix, cfg: DiarizerConfig) -> tuple[DiarizationHypothesis, dict]:
+def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]:
     """Full loop: over-segment, fit initial GMM states, then alternate
     segmental EM and greedy best-pair merging until the speaker-count target
     or no remaining pair improves the pooled likelihood.
@@ -342,7 +302,7 @@ def diarize(X: FeatureMatrix, cfg: DiarizerConfig) -> tuple[DiarizationHypothesi
         for a_pos, a in enumerate(ids):
             for b in ids[a_pos + 1 :]:
                 try:
-                    gain, merged = _merge_fit(model.states[a], *own[a], model.states[b], *own[b])
+                    gain, merged = merge_gain(model.states[a], *own[a], model.states[b], *own[b])
                 except ValueError as exc:
                     skipped_merge_pairs.append({"round": round_idx, "pair": [a, b], "reason": str(exc)})
                     continue

@@ -11,28 +11,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.fft import dct
 
+from .config import Config
+
 FEATURE_MAGIC = b"FEA1"
 
 # Mel energies are floored here before the log.
 LOG_FLOOR = 1e-10
-
-
-@dataclass
-class MfccConfig:
-    pre_emphasis: float = 0.97
-    window_sec: float = 0.025
-    hop_sec: float = 0.010
-    n_fft: int = 256
-    n_mels: int = 26
-    n_coeffs: int = 13
-
-    def __post_init__(self):
-        if not (0.0 <= self.pre_emphasis <= 1.0):  # also false for NaN
-            raise ValueError(f"pre_emphasis must lie in [0, 1], got {self.pre_emphasis}")
-        if self.n_mels < 1:
-            raise ValueError(f"n_mels must be >= 1, got {self.n_mels}")
-        if not (1 <= self.n_coeffs <= self.n_mels):
-            raise ValueError(f"n_coeffs must lie in [1, n_mels = {self.n_mels}], got {self.n_coeffs}")
 
 
 @dataclass
@@ -88,11 +72,12 @@ def mel_filterbank(n_mels: int, n_fft: int, rate: int) -> np.ndarray:
     return fb
 
 
-def mfcc(signal: np.ndarray, rate: int, config: MfccConfig | None = None) -> FeatureMatrix:
+def mfcc(signal: np.ndarray, rate: int, cfg: Config | None = None) -> FeatureMatrix:
     """13-dim MFCCs (c0 included): pre-emphasis, Hamming window, power
-    spectrum, mel filterbank, floored log, orthonormal DCT-II.
+    spectrum, mel filterbank, floored log, orthonormal DCT-II. The band and
+    the window sizes follow ``rate``, not ``cfg.sample_rate``.
     """
-    cfg = config or MfccConfig()
+    cfg = cfg or Config()
     signal = np.asarray(signal, dtype=np.float64)
     win = int(round(cfg.window_sec * rate))
     hop = int(round(cfg.hop_sec * rate))

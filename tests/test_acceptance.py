@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from diarkit import audio_io, cli, dae, dominance, gmm, scoring, wpe
-from diarkit.diarizer import DiarizerConfig, HmmModel, diarize, segmental_em, viterbi_path
+from diarkit.config import Config
+from diarkit.diarizer import HmmModel, diarize, segmental_em, viterbi_path
 from diarkit.features import FeatureMatrix
-from test_diarizer import enumerate_best_path
+from test_diarizer import enumerate_best_path, gain_on_own_frames
 
 
 def _report(criterion, ok, detail):
@@ -45,16 +46,16 @@ def end_to_end():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         t0 = time.time()
-        cfg = cli.PipelineConfig(n_speakers=4, min_duration_sec=0.5, seed=PIPELINE_SEED)
+        cfg = Config(n_speakers=4, min_duration_sec=0.5, seed=PIPELINE_SEED)
         feats, _ = cli.extract_session_features(audio, sad, cfg)
-        hyp, meta = diarize(feats, cfg.stage(DiarizerConfig))
+        hyp, meta = diarize(feats, cfg)
         results["oracle_seconds"] = synth_seconds + (time.time() - t0)
         results["oracle"] = scoring.score_der(reference, hyp)
         results["oracle_meta"] = meta
 
-        ns_cfg = cli.PipelineConfig(n_speakers=4, min_duration_sec=0.5, seed=PIPELINE_SEED, mode="no-sad")
+        ns_cfg = Config(n_speakers=4, min_duration_sec=0.5, seed=PIPELINE_SEED, mode="no-sad")
         ns_feats, _ = cli.extract_session_features(audio, None, ns_cfg)
-        ns_hyp, ns_meta = diarize(ns_feats, ns_cfg.stage(DiarizerConfig))
+        ns_hyp, ns_meta = diarize(ns_feats, ns_cfg)
         results["no_sad"] = scoring.score_der(reference, ns_hyp)
         results["no_sad_meta"] = ns_meta
     return results
@@ -64,7 +65,7 @@ def test_criterion_1_end_to_end_der(end_to_end):
     der = end_to_end["oracle"].der
     seconds = end_to_end["oracle_seconds"]
     ns_der = end_to_end["no_sad"].der
-    cfg = DiarizerConfig(n_speakers=4)
+    cfg = Config(n_speakers=4)
     defaults_ok = cfg.initial_states == 12 and cfg.components_per_initial_segment == 2
     ok = der <= 0.15 and seconds <= 300.0 and ns_der >= der - 0.01 and defaults_ok
     _report(
@@ -144,8 +145,8 @@ def test_criterion_4_dae_gradients_and_compression():
     rng2 = np.random.default_rng(0)
     direction = rng2.normal(size=24)
     X1 = rng2.normal(size=(600, 1)) * direction
-    cfg = dae.TrainConfig(corruption_level=0.0, epochs=5, batch_size=64, learning_rate=0.02)
-    trained = dae.pretrain_stack(X1, cfg, seed=0, hidden_dim=8, bottleneck_dim=3)
+    cfg = Config(corruption_level=0.0, epochs=5, batch_size=64, learning_rate=0.02, seed=0, bottleneck_dim=3)
+    trained = dae.pretrain_stack(X1, cfg, hidden_dim=8)
     losses = trained.train_losses[0]
     ratio = losses[-1] / losses[0]
     ok = worst < 1e-4 and n_checked >= 20 and ratio < 0.25
@@ -173,8 +174,6 @@ def test_criterion_5_wavelet_correctness():
 
 
 def test_criterion_6_merge_gain_soundness():
-    from diarkit.diarizer import merge_gain
-
     rng = np.random.default_rng(66)
     same_pos = 0
     for trial in range(100):
@@ -183,14 +182,14 @@ def test_criterion_6_merge_gain_soundness():
         X2 = rng.normal(mean, 1.0, size=(500, 4))
         g1 = gmm.kmeans_init(X1, 2, seed=trial)
         g2 = gmm.kmeans_init(X2, 2, seed=trial + 5000)
-        same_pos += merge_gain(g1, X1, g2, X2) > 0
+        same_pos += gain_on_own_frames(g1, X1, g2, X2) > 0
     distinct_neg = 0
     for trial in range(100):
         X1 = rng.normal(0.0, 1.0, size=(500, 4))
         X2 = rng.normal(10.0, 1.0, size=(500, 4))
         g1 = gmm.kmeans_init(X1, 2, seed=trial)
         g2 = gmm.kmeans_init(X2, 2, seed=trial + 5000)
-        distinct_neg += merge_gain(g1, X1, g2, X2) < 0
+        distinct_neg += gain_on_own_frames(g1, X1, g2, X2) < 0
     ok = same_pos >= 95 and distinct_neg >= 95
     _report(6, ok, f"same-source positive {same_pos}/100 >= 95; distinct-source negative {distinct_neg}/100 >= 95")
 
@@ -273,7 +272,7 @@ def test_criterion_9_min_duration_invariant():
                 prev = k
             X = np.vstack(X)
             t_min = float(rng.choice([0.2, 0.3, 0.5]))
-            cfg = DiarizerConfig(
+            cfg = Config(
                 n_speakers=n_spk,
                 initial_states=3 * n_spk,
                 min_duration_sec=t_min,

@@ -119,6 +119,16 @@ def test_load_session_duration_mismatch_names_file(tmp_path):
         audio_io.load_session([str(a), str(b)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_session_rejects_non_finite_samples(tmp_path, bad):
+    path = tmp_path / "bad.wav"
+    samples = sine(200, 8000, 0.3)
+    samples[100] = bad
+    wavfile.write(path, 8000, samples.astype(np.float32))
+    with pytest.raises(ValueError, match="non-finite samples in .*bad.wav"):
+        audio_io.load_session([str(path)])
+
+
 def test_load_session_rejects_stereo_in_multi_file_mode(tmp_path):
     rate = 8000
     mono, stereo = tmp_path / "m.wav", tmp_path / "s.wav"

@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from diarkit import audio_io, cli, dae, features, scoring
+from diarkit import audio_io, cli, dae, scoring
 from diarkit.audio_io import SessionScript, VoiceSpec
-from diarkit.diarizer import DiarizerConfig
+from diarkit.config import Config
 from test_dae import write_model
 
 
@@ -262,6 +262,14 @@ def test_config_file_and_flag_precedence(synth_dir, tmp_path):
     assert meta["config"]["min_duration_sec"] == 0.5  # flag wins
 
 
+def test_corruption_kind_is_not_a_key(tmp_path):
+    # Corruption is always additive Gaussian noise; the old key is refused.
+    cfg_path = tmp_path / "old.cfg"
+    cfg_path.write_text("corruption_kind = masking\n")
+    with pytest.raises(cli.UsageError, match="unknown config key 'corruption_kind'"):
+        cli.load_config_file(str(cfg_path))
+
+
 def test_config_unknown_key_rejected(synth_dir, tmp_path):
     cfg_path = str(tmp_path / "bad.cfg")
     with open(cfg_path, "w") as fh:
@@ -312,7 +320,7 @@ def test_env_seed_override(script_file, tmp_path, monkeypatch):
 CONFIG_KEYS = {
     "sample_rate", "pre_emphasis", "window_sec", "hop_sec", "n_fft", "n_mels", "n_coeffs",
     "splice_left", "splice_right", "feature_kind", "bottleneck_dim",
-    "corruption_level", "corruption_kind", "learning_rate", "momentum", "epochs", "batch_size",
+    "corruption_level", "learning_rate", "momentum", "epochs", "batch_size",
     "n_speakers", "initial_states", "min_duration_sec", "components_per_initial_segment",
     "self_loop_prob", "em_iters", "max_outer_iters", "mode", "seed",
 }  # fmt: skip
@@ -331,21 +339,20 @@ def _parse(*argv):
     return cli.build_pipeline_config(cli.build_parser().parse_args(list(argv)))
 
 
+def _config_types():
+    return {f.name: type(f.default) for f in dataclasses.fields(Config)}
+
+
 def test_config_keys_are_the_flat_namespace():
-    assert {f.name for f in dataclasses.fields(cli.PipelineConfig)} == CONFIG_KEYS
-
-
-@pytest.mark.parametrize("stage", [features.MfccConfig, dae.TrainConfig, DiarizerConfig])
-def test_every_stage_field_is_a_config_key(stage):
-    # `stage()` copies fields by name and derives nothing.
-    assert {f.name for f in dataclasses.fields(stage)} <= CONFIG_KEYS
+    assert set(_config_types()) == CONFIG_KEYS
 
 
 @pytest.mark.parametrize("command", ["diarize", "features"])
 def test_every_pipeline_flag_dest_is_a_config_key(command):
+    keys = _config_types()
     for action in _subparser(command)._actions:
         if action.dest not in IO_DESTS:
-            assert action.dest in CONFIG_KEYS, action.option_strings
+            assert action.dest in keys, action.option_strings
 
 
 def test_flags_set_their_keys(monkeypatch):
@@ -356,7 +363,7 @@ def test_flags_set_their_keys(monkeypatch):
     )  # fmt: skip
     assert (cfg.mode, cfg.n_speakers, cfg.min_duration_sec, cfg.initial_states) == ("no-sad", 3, 0.7, 10)
     assert (cfg.components_per_initial_segment, cfg.feature_kind, cfg.epochs, cfg.seed) == (3, "mfcc91", 2, 5)
-    assert _parse("diarize", "a.wav", "--out", "x.rttm") == cli.PipelineConfig()
+    assert _parse("diarize", "a.wav", "--out", "x.rttm") == Config()
 
 
 def test_stage_flag_beats_config_file(tmp_path):
@@ -367,18 +374,21 @@ def test_stage_flag_beats_config_file(tmp_path):
     assert _parse("features", "a.wav", "--config", cfg_path, "--stage", "bnf", "--out", "f.bin").feature_kind == "bnf"
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "learning_rate = -1", "self_loop_prob = 1.5", "min_duration_sec = 0",
-        "sample_rate = 0", "bottleneck_dim = 0", "splice_left = -7", "splice_right = -1",
-        "initial_states = 0", "components_per_initial_segment = 0", "max_outer_iters = -1", "em_iters = -2",
-        "epochs = 0", "epochs = -1", "batch_size = 0", "momentum = 1", "momentum = -0.1",
-        "n_coeffs = 0", "n_coeffs = 40", "n_mels = 0", "pre_emphasis = nan", "n_fft = 8",
-        "window_sec = 0", "hop_sec = 0", "hop_sec = -0.01",
-        "min_duration_sec = nan", "min_duration_sec = inf", "learning_rate = nan",
-    ],
-)  # fmt: skip
+# One bad value per line: each must exit 2 from the CLI and raise a
+# ValueError naming its key from Config itself.
+BAD_CONFIG_LINES = [
+    "learning_rate = -1", "self_loop_prob = 1.5", "min_duration_sec = 0",
+    "sample_rate = 0", "bottleneck_dim = 0", "splice_left = -7", "splice_right = -1",
+    "initial_states = 0", "components_per_initial_segment = 0", "max_outer_iters = -1", "em_iters = -2",
+    "epochs = 0", "epochs = -1", "batch_size = 0", "momentum = 1", "momentum = -0.1",
+    "n_coeffs = 0", "n_coeffs = 40", "n_mels = 0", "pre_emphasis = nan", "n_fft = 8",
+    "window_sec = 0", "hop_sec = 0", "hop_sec = -0.01",
+    "min_duration_sec = nan", "min_duration_sec = inf", "learning_rate = nan",
+    "n_speakers = 1", "corruption_level = 1.5", "feature_kind = wav", "mode = vad",
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("line", BAD_CONFIG_LINES)
 def test_invalid_stage_value_in_config_exits_2(tmp_path, capsys, line):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(line + "\n")
@@ -389,6 +399,13 @@ def test_invalid_stage_value_in_config_exits_2(tmp_path, capsys, line):
     assert rc == 2
     assert line.split()[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+def test_invalid_config_value_raises_naming_the_key(line):
+    key, value = line.split(" = ")
+    with pytest.raises(ValueError, match=key):
+        Config(**{key: _config_types()[key](value)})
 
 
 @pytest.mark.parametrize(
@@ -466,7 +483,8 @@ def test_missing_sad_or_config_file_exits_2(tmp_path, capsys, flag):
      ("score", "--collar", "inf", "--collar"), ("synth", "--channels", "0", "--channels"),
      ("synth", "--max-delay-ms", "100", "--max-delay-ms"), ("synth", "--max-delay-ms", "-1", "--max-delay-ms"),
      ("synth", "--rate", "0", "--rate"), ("diarize", "--min-dur", "nan", "min_duration_sec"),
-     ("diarize", "--min-dur", "inf", "min_duration_sec")],
+     ("diarize", "--min-dur", "inf", "min_duration_sec"), ("synth", "--snr-db", "nan", "--snr-db"),
+     ("synth", "--snr-db", "inf", "--snr-db"), ("synth", "--snr-db", "-inf", "--snr-db")],
 )  # fmt: skip
 def test_usage_errors_exit_2(script_file, tmp_path, capsys, command, flag, value, named):
     empty = tmp_path / "never_read"
@@ -480,4 +498,25 @@ def test_usage_errors_exit_2(script_file, tmp_path, capsys, command, flag, value
         argv = ["diarize", str(empty), "--sad", str(empty), "--out", str(out)]
     assert cli.main([*argv, flag, value]) == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["diarize", "features", "dominance"])
+def test_non_finite_audio_exits_1_naming_the_file(tmp_path, capsys, command):
+    samples = np.random.default_rng(0).normal(0.0, 0.1, 16000).astype(np.float32)
+    samples[4000] = np.nan
+    wav = str(tmp_path / "nan.wav")
+    audio_io.write_wav(wav, samples, 8000)
+    sad = tmp_path / "sad.txt"
+    sad.write_text("0.0 2.0\n")
+    hyp = tmp_path / "hyp.rttm"
+    hyp.write_text("SPEAKER s 1 0.000 2.000 <NA> <NA> A <NA> <NA>\n")
+    out = tmp_path / "out"
+    argv = {
+        "diarize": ["diarize", wav, "--sad", str(sad), "--speakers", "2", "--out", str(out)],
+        "features": ["features", wav, "--sad", str(sad), "--out", str(out)],
+        "dominance": ["dominance", "--hyp", str(hyp), "--audio", wav, "--out", str(out)],
+    }[command]
+    assert cli.main(argv) == 1
+    assert f"non-finite samples in {wav!r}" in capsys.readouterr().err
     assert not out.exists()

@@ -7,36 +7,23 @@ import numpy as np
 import pytest
 
 from diarkit import dae
-from diarkit.dae import TrainConfig, bottleneck, corrupt, load_network, pretrain_stack, save_network
+from diarkit.config import Config
+from diarkit.dae import bottleneck, corrupt, load_network, pretrain_stack, save_network
 from diarkit.features import FeatureMatrix
 
 
 def test_corrupt_level_zero_identity():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(10, 5))
-    assert np.array_equal(corrupt(x, "additive-gaussian", 0.0, rng), x)
-    assert np.array_equal(corrupt(x, "masking", 0.0, rng), x)
-
-
-def test_corrupt_masking_level_one_zeroes_everything():
-    rng = np.random.default_rng(1)
-    x = np.ones((20, 4))
-    assert np.all(corrupt(x, "masking", 1.0, rng) == 0.0)
+    assert np.array_equal(corrupt(x, 0.0, rng), x)
 
 
 def test_corrupt_gaussian_noise_std():
     # Monte-Carlo check of the noise model on zero input
     rng = np.random.default_rng(2)
     x = np.zeros(100_000)
-    noisy = corrupt(x, "additive-gaussian", 0.2, rng)
+    noisy = corrupt(x, 0.2, rng)
     assert 0.195 <= noisy.std() <= 0.205
-
-
-def test_corrupt_masking_rate():
-    rng = np.random.default_rng(3)
-    x = np.ones(100_000)
-    noisy = corrupt(x, "masking", 0.3, rng)
-    assert abs((noisy == 0).mean() - 0.3) < 0.01
 
 
 def test_gradients_match_finite_differences():
@@ -90,17 +77,17 @@ def rank_one_features(n=600, dim=24, seed=0):
 
 def test_rank_one_data_is_compressible():
     X = rank_one_features()
-    cfg = TrainConfig(corruption_level=0.0, epochs=5, batch_size=64, learning_rate=0.02)
-    net = pretrain_stack(X, cfg, seed=0, hidden_dim=8, bottleneck_dim=3)
+    cfg = Config(corruption_level=0.0, epochs=5, batch_size=64, learning_rate=0.02, bottleneck_dim=3)
+    net = pretrain_stack(X, cfg, hidden_dim=8)
     losses = net.train_losses[0]
     assert losses[-1] < 0.25 * losses[0]
 
 
 def test_pretrain_deterministic():
     X = rank_one_features(seed=1)
-    cfg = TrainConfig(epochs=2, batch_size=64)
-    n1 = pretrain_stack(X, cfg, seed=5, hidden_dim=8, bottleneck_dim=3)
-    n2 = pretrain_stack(X, cfg, seed=5, hidden_dim=8, bottleneck_dim=3)
+    cfg = Config(epochs=2, batch_size=64, seed=5, bottleneck_dim=3)
+    n1 = pretrain_stack(X, cfg, hidden_dim=8)
+    n2 = pretrain_stack(X, cfg, hidden_dim=8)
     for w1, w2 in zip(n1.weights, n2.weights):
         assert np.array_equal(w1, w2)
 
@@ -109,7 +96,7 @@ def test_clean_loss_matches_loss_and_grads_exactly():
     # The per-epoch clean loss is a forward-only pass; it must be the very
     # value the training step's loss_and_grads gives on the same weights.
     X = rank_one_features(n=300, dim=12, seed=4)
-    net = pretrain_stack(X, TrainConfig(epochs=2, batch_size=64), seed=3, hidden_dim=6, bottleneck_dim=3)
+    net = pretrain_stack(X, Config(epochs=2, batch_size=64, seed=3, bottleneck_dim=3), hidden_dim=6)
     w, b = net.weights, net.biases
     first, _, _ = dae.loss_and_grads([w[0], w[3]], [b[0], b[3]], ["tanh", "linear"], X, X)
     codes = np.tanh(X @ w[0] + b[0])
@@ -122,7 +109,7 @@ def test_clean_loss_uses_a_fixed_strided_sample():
     # 2000 rows: the clean loss reads every 2000 // 512 = 3rd row, taken
     # without drawing from the training stream.
     X = rank_one_features(n=2000, dim=12, seed=4)
-    net = pretrain_stack(X, TrainConfig(epochs=1, batch_size=256), seed=3, hidden_dim=6, bottleneck_dim=3)
+    net = pretrain_stack(X, Config(epochs=1, batch_size=256, seed=3, bottleneck_dim=3), hidden_dim=6)
     w, b = net.weights, net.biases
     first, _, _ = dae.loss_and_grads([w[0], w[3]], [b[0], b[3]], ["tanh", "linear"], X[::3], X[::3])
     codes = np.tanh(X @ w[0] + b[0])
@@ -134,8 +121,8 @@ def test_clean_loss_uses_a_fixed_strided_sample():
 def test_training_loss_mostly_non_increasing():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(512, 16)) @ rng.normal(size=(16, 16)) * 0.5
-    cfg = TrainConfig(corruption_level=0.1, epochs=10, batch_size=64)
-    net = pretrain_stack(X, cfg, seed=2, hidden_dim=8, bottleneck_dim=4)
+    cfg = Config(corruption_level=0.1, epochs=10, batch_size=64, seed=2, bottleneck_dim=4)
+    net = pretrain_stack(X, cfg, hidden_dim=8)
     for losses in net.train_losses:
         diffs = np.diff(losses)
         assert (diffs <= 1e-12).mean() >= 0.8, losses
@@ -143,20 +130,20 @@ def test_training_loss_mostly_non_increasing():
 
 def test_pretrain_needs_enough_frames():
     with pytest.raises(ValueError, match="frames"):
-        pretrain_stack(np.zeros((10, 4)), TrainConfig(batch_size=256), seed=0)
+        pretrain_stack(np.zeros((10, 4)), Config(batch_size=256))
 
 
 def test_divergence_aborts_with_diagnostics():
     X = rank_one_features(n=300, dim=10, seed=9) * 100
-    cfg = TrainConfig(learning_rate=1e6, epochs=10, batch_size=64)
+    cfg = Config(learning_rate=1e6, epochs=10, batch_size=64, bottleneck_dim=2)
     with pytest.raises(RuntimeError, match="diverged"), np.errstate(all="ignore"):
-        pretrain_stack(X, cfg, seed=0, hidden_dim=6, bottleneck_dim=2)
+        pretrain_stack(X, cfg, hidden_dim=6)
 
 
 def test_bottleneck_dims_and_range():
     X = rank_one_features(n=400, dim=20, seed=3)
-    cfg = TrainConfig(epochs=2, batch_size=64)
-    net = pretrain_stack(X, cfg, seed=0, hidden_dim=10, bottleneck_dim=5)
+    cfg = Config(epochs=2, batch_size=64, bottleneck_dim=5)
+    net = pretrain_stack(X, cfg, hidden_dim=10)
     f = FeatureMatrix(X)
     out = bottleneck(net, f)
     assert out.dim == 5
@@ -175,7 +162,7 @@ def wide_features(n, dim=1001, rank=3, seed=0):
 
 def test_bottleneck_not_saturated_on_wide_input():
     X = wide_features(2048)
-    out = pretrain_stack(X, TrainConfig(), seed=0).encode(X)
+    out = pretrain_stack(X, Config()).encode(X)
     saturated = ((out < 0.01) | (out > 0.99)).mean()
     assert saturated <= 0.05, saturated
 
@@ -183,9 +170,10 @@ def test_bottleneck_not_saturated_on_wide_input():
 _TRAIN_IN_CHILD = """
 import sys
 import numpy as np
-from diarkit.dae import TrainConfig, pretrain_stack
+from diarkit.config import Config
+from diarkit.dae import pretrain_stack
 X = np.load(sys.argv[1])
-np.save(sys.argv[2], pretrain_stack(X, TrainConfig(), seed=0).encode(X))
+np.save(sys.argv[2], pretrain_stack(X, Config()).encode(X))
 """
 
 
@@ -215,7 +203,7 @@ def test_bottleneck_independent_of_blas_threads(tmp_path):
 
 def test_bottleneck_rowwise_stateless():
     X = rank_one_features(n=300, dim=12, seed=4)
-    net = pretrain_stack(X, TrainConfig(epochs=1, batch_size=64), seed=1, hidden_dim=6, bottleneck_dim=2)
+    net = pretrain_stack(X, Config(epochs=1, batch_size=64, seed=1, bottleneck_dim=2), hidden_dim=6)
     f = FeatureMatrix(np.vstack([X[:5], X[:5]]))
     out = bottleneck(net, f).data
     np.testing.assert_array_equal(out[:5], out[5:])

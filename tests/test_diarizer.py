@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from diarkit import diarizer, gmm
+from diarkit.config import Config
 from diarkit.diarizer import (
-    DiarizerConfig,
     HmmModel,
     diarize,
     init_segmentation,
@@ -269,6 +269,11 @@ def test_segmental_em_path_log_prob_monotone_random_trials():
         assert (np.diff(history) >= -1e-6).all(), f"trial {trial}: {history}"
 
 
+def gain_on_own_frames(g1, X1, g2, X2):
+    """The merge test's gain, with each child scored on its own frames."""
+    return merge_gain(g1, X1, g1.log_likelihood(X1), g2, X2, g2.log_likelihood(X2))[0]
+
+
 def test_merge_gain_same_source_positive():
     # segment models carry cluster statistics; the pooled model alone gets
     # the EM refinement, as in the merge test proper
@@ -280,7 +285,7 @@ def test_merge_gain_same_source_positive():
         X2 = rng.normal(mean, 1.0, size=(500, 4))
         g1 = gmm.kmeans_init(X1, 2, seed=trial)
         g2 = gmm.kmeans_init(X2, 2, seed=trial + 1000)
-        if merge_gain(g1, X1, g2, X2) > 0:
+        if gain_on_own_frames(g1, X1, g2, X2) > 0:
             wins += 1
     assert wins >= 19
 
@@ -293,7 +298,7 @@ def test_merge_gain_distinct_sources_negative():
         X2 = rng.normal(10.0, 1.0, size=(500, 4))
         g1 = gmm.kmeans_init(X1, 2, seed=trial)
         g2 = gmm.kmeans_init(X2, 2, seed=trial + 1000)
-        if merge_gain(g1, X1, g2, X2) < 0:
+        if gain_on_own_frames(g1, X1, g2, X2) < 0:
             wins += 1
     assert wins >= 19
 
@@ -302,7 +307,7 @@ def test_merge_gain_identical_sets_non_negative():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(300, 4))
     g = gmm.em_fit(X, 2, seed=0)
-    assert merge_gain(g, X, g, X) >= -1e-6
+    assert gain_on_own_frames(g, X, g, X) >= -1e-6
 
 
 def test_merge_gain_is_pooled_fit_total_minus_children():
@@ -314,7 +319,9 @@ def test_merge_gain_is_pooled_fit_total_minus_children():
     pooled = np.vstack([X1, X2])
     merged = gmm.em_refine(gmm.merge_init(g1, g2), pooled, max_iters=5, tol=0.0)
     expected = merged.log_likelihood(pooled) - (g1.log_likelihood(X1) + g2.log_likelihood(X2))
-    assert merge_gain(g1, X1, g2, X2) == expected
+    gain, returned = merge_gain(g1, X1, g1.log_likelihood(X1), g2, X2, g2.log_likelihood(X2))
+    assert gain == expected
+    np.testing.assert_array_equal(returned.means, merged.means)
 
 
 def test_merge_gain_needs_enough_frames():
@@ -322,7 +329,7 @@ def test_merge_gain_needs_enough_frames():
     X = rng.normal(size=(10, 2))
     g = gmm.em_fit(X, 2, seed=0)
     with pytest.raises(ValueError, match="frames"):
-        merge_gain(g, X[:3], g, X[:4])
+        merge_gain(g, X[:3], 0.0, g, X[:4], 0.0)
 
 
 def make_feature_matrix(X, mask=None):
@@ -352,7 +359,7 @@ def test_diarize_recovers_speaker_count_and_partition():
     rng = np.random.default_rng(9)
     X, truth = synthetic_session_features(rng)
     f = make_feature_matrix(X)
-    cfg = DiarizerConfig(n_speakers=3, initial_states=9, min_duration_sec=0.3, seed=0)
+    cfg = Config(n_speakers=3, initial_states=9, min_duration_sec=0.3, seed=0)
     hyp, meta = diarize(f, cfg)
     assert meta["final_speaker_states"] == 3
     assert meta["stop_reason"] in ("reached_target_states", "no_positive_merge_gain")
@@ -384,7 +391,7 @@ def test_diarize_merge_trace_gains_and_meta_keys(monkeypatch):
         return out
 
     monkeypatch.setattr(diarizer, "segmental_em", recording_segmental_em)
-    cfg = DiarizerConfig(n_speakers=3, initial_states=9, min_duration_sec=0.3, seed=0)
+    cfg = Config(n_speakers=3, initial_states=9, min_duration_sec=0.3, seed=0)
     _, meta = diarize(make_feature_matrix(X), cfg)
     assert isinstance(meta["skipped_merge_pairs"], list)
     assert isinstance(meta["dropped_states"], list)
@@ -397,14 +404,14 @@ def test_diarize_merge_trace_gains_and_meta_keys(monkeypatch):
     model, labels = alignments[0]
     first = meta["merge_trace"][0]
     a, b = first["pair"]
-    assert first["gain"] == merge_gain(model.states[a], X[labels == a], model.states[b], X[labels == b])
+    assert first["gain"] == gain_on_own_frames(model.states[a], X[labels == a], model.states[b], X[labels == b])
 
 
 def test_diarize_single_source_reports_stop_reason():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(800, 4))
     f = make_feature_matrix(X)
-    cfg = DiarizerConfig(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=0)
+    cfg = Config(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=0)
     hyp, meta = diarize(f, cfg)
     assert meta["stop_reason"] in ("reached_target_states", "no_positive_merge_gain")
     assert meta["final_speaker_states"] >= 2 or meta["stop_reason"] == "reached_target_states"
@@ -414,7 +421,7 @@ def test_diarize_single_source_reports_stop_reason():
 def test_diarize_deterministic_given_seed():
     rng = np.random.default_rng(13)
     X, _ = synthetic_session_features(rng, n_speakers=2, n_turns=10)
-    cfg = DiarizerConfig(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=4)
+    cfg = Config(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=4)
     h1, m1 = diarize(make_feature_matrix(X), cfg)
     h2, m2 = diarize(make_feature_matrix(X.copy()), cfg)
     assert h1.segments == h2.segments
@@ -435,7 +442,7 @@ def test_diarize_no_sad_mode_emits_ns_label():
         mask.extend([False] * (block // 4))
     data = np.vstack(rows)
     f = FeatureMatrix(data, hop_sec=0.010, window_sec=0.025, speech_mask=np.array(mask))
-    cfg = DiarizerConfig(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=2)
+    cfg = Config(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=2)
     hyp, meta = diarize(f, cfg)
     assert meta["no_sad_mode"]
     labels = {lab for _, _, lab in hyp.segments}
@@ -455,7 +462,7 @@ def test_diarize_no_sad_drops_a_starved_non_speech_state():
     X[mid : mid + 4] = rng.normal(50.0, 0.5, size=(4, X.shape[1]))
     mask = np.ones(len(X), dtype=bool)
     mask[mid : mid + 4] = False
-    cfg = DiarizerConfig(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=0)
+    cfg = Config(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=0)
     with pytest.warns(UserWarning, match="state 6 lost all frames"):
         hyp, meta = diarize(make_feature_matrix(X, mask), cfg)
     assert all(lab != "NS" for _, _, lab in hyp.segments)
@@ -464,21 +471,21 @@ def test_diarize_no_sad_drops_a_starved_non_speech_state():
 
 
 def test_config_defaults_and_range_warning():
-    cfg = DiarizerConfig(n_speakers=4)
+    cfg = Config(n_speakers=4)
     assert cfg.initial_states == 12
     assert cfg.components_per_initial_segment == 2
     assert cfg.min_duration_sec == 0.5
     with pytest.warns(UserWarning, match="recommended"):
-        DiarizerConfig(n_speakers=2, initial_states=30)
+        Config(n_speakers=2, initial_states=30)
     with pytest.raises(ValueError, match="speakers"):
-        DiarizerConfig(n_speakers=1)
+        Config(n_speakers=1)
 
 
 def test_diarize_min_duration_invariant():
     rng = np.random.default_rng(11)
     X, _ = synthetic_session_features(rng, n_speakers=2, n_turns=12)
     f = make_feature_matrix(X)
-    cfg = DiarizerConfig(n_speakers=2, initial_states=6, min_duration_sec=0.25, seed=1)
+    cfg = Config(n_speakers=2, initial_states=6, min_duration_sec=0.25, seed=1)
     hyp, meta = diarize(f, cfg)
     T = meta["min_dur_frames"]
     durations = [end - start for start, end, _ in hyp.segments]
