@@ -31,7 +31,9 @@ def session(duration):
     script = audio_io.demo_script(4, duration, seed=21, turn_range=(2.0, 6.0), gap_range=(0.3, 0.8))
     delays = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 2.5]
     gains = [1.0, 0.95, 0.9, 0.8, 0.7, 0.6, 0.5]
-    audio, reference = audio_io.synth_session(script, 7, delays, gains, noise_snr_db=15.0, seed=7)
+    audio, reference = audio_io.synth_session(
+        script, 7, delays, gains, noise_snr_db=15.0, seed=7, rate=Config.sample_rate
+    )
     return audio, reference, audio_io.sad_from_script(script)
 
 

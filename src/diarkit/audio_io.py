@@ -11,7 +11,6 @@ from scipy.io import wavfile
 
 from .segments import DiarizationHypothesis, validate_segments
 
-DEFAULT_RATE = 8000
 HOP_SEC = 0.010
 
 # Resampler quality knobs: Kaiser-windowed sinc, fixed kernel support.
@@ -166,7 +165,7 @@ def resample(signal: np.ndarray, in_rate: int, out_rate: int) -> np.ndarray:
     return resample_poly(signal, up, down, window=taps)[: len(signal) * out_rate // in_rate]
 
 
-def load_session(paths: list[str], target_rate: int = DEFAULT_RATE) -> MultiStreamAudio:
+def load_session(paths: list[str], target_rate: int) -> MultiStreamAudio:
     """Load one mono WAV per channel (or a single multi-channel WAV) and
     resample everything to ``target_rate``.
 
@@ -253,7 +252,7 @@ def synth_session(
     gains: list[float],
     noise_snr_db: float,
     seed: int,
-    rate: int = DEFAULT_RATE,
+    rate: int,
 ) -> tuple[MultiStreamAudio, DiarizationHypothesis]:
     """Render a scripted multi-speaker session into C delayed, scaled,
     noise-corrupted copies of one mix, plus the reference segmentation.
@@ -381,6 +380,8 @@ def read_segments(path: str) -> list[tuple]:
             start, end = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ValueError(f"{path}: unparsable segment line {lineno}: {line!r}") from exc
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValueError(f"{path}: non-finite time at line {lineno}")
         if end <= start:
             raise ValueError(f"{path}: end before start at line {lineno}")
         out.append((start, end, parts[2]) if len(parts) == 3 else (start, end))

@@ -108,9 +108,11 @@ def extract_session_features(
     attached in no-SAD mode (from the SAD file when given, otherwise from a
     low-energy heuristic). This is the one place that drops non-speech rows.
     """
-    raw = [features.mfcc(ch, audio.sample_rate, cfg) for ch in audio.channels]
+    if audio.sample_rate != cfg.sample_rate:
+        raise ValueError(f"audio is at {audio.sample_rate} Hz, the config at {cfg.sample_rate} Hz")
+    raw = [features.mfcc(ch, cfg) for ch in audio.channels]
     if sad_segments is not None:
-        mask = features.speech_frame_mask(raw[0], sad_segments)
+        mask = features.speech_frame_mask(raw[0], sad_segments, cfg)
     else:
         if cfg.mode != "no-sad":
             raise UsageError("oracle-sad mode requires a SAD segments file")
@@ -237,7 +239,7 @@ def cmd_dominance(args) -> int:
         raise UsageError(f"--rate must be >= {2 * f_hi:g} to hold the {f_lo:g}-{f_hi:g} Hz band, got {args.rate}")
     hyp = DiarizationHypothesis(scoring.rttm_read(args.hyp))
     audio = audio_io.load_session([args.audio], target_rate=args.rate)
-    energies = wpe.segment_energy(audio.channels[0], hyp.segments, sample_rate=audio.sample_rate)
+    energies = wpe.segment_energy(audio.channels[0], hyp.segments, audio.sample_rate)
     report = dominance.dominance_report(
         hyp, energies, segment_len_sec=args.segment_len, session_duration_sec=audio.duration_sec
     )
@@ -249,7 +251,7 @@ def cmd_dominance(args) -> int:
 def cmd_features(args) -> int:
     cfg, audio, sad_segments = _load_inputs(args)
     feats, _ = extract_session_features(audio, sad_segments, cfg)
-    features.write_features(args.out, feats)
+    features.write_features(args.out, feats, cfg.hop_sec)
     print(f"wrote {args.out}: {feats.n_frames} frames x {feats.dim} dims")
     return 0
 
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=7)
     p.add_argument("--snr-db", type=float, default=15.0)
     p.add_argument("--max-delay-ms", type=float, default=5.0)
-    p.add_argument("--rate", type=int, default=8000)
+    p.add_argument("--rate", type=int, default=Config.sample_rate)
     p.add_argument("--file-id", default="session")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
@@ -304,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dominance", help="per-speaker dominance scores from a hypothesis")
     p.add_argument("--hyp", required=True, help="hypothesis RTTM")
     p.add_argument("--audio", required=True, help="reference channel WAV")
-    p.add_argument("--segment-len", type=float, default=300.0)
-    p.add_argument("--rate", type=int, default=8000)
+    p.add_argument("--segment-len", type=float, default=dominance.DEFAULT_SEGMENT_LEN_SEC)
+    p.add_argument("--rate", type=int, default=Config.sample_rate)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_dominance)
 

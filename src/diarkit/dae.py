@@ -77,11 +77,9 @@ def _act(z, kind):
 
 
 def _act_deriv_from_output(a, kind):
-    if kind == "tanh":
-        return 1.0 - a**2
-    if kind == "sigmoid":
-        return a * (1.0 - a)
-    return np.ones_like(a)
+    """Derivative of a tanh or sigmoid layer from its output. A linear
+    layer's is 1, so ``loss_and_grads`` skips that multiply."""
+    return 1.0 - a**2 if kind == "tanh" else a * (1.0 - a)
 
 
 def _init_layer(n_in: int, n_out: int, rng: np.random.Generator):
@@ -121,7 +119,9 @@ def loss_and_grads(
     gradients for a feed-forward chain of any depth."""
     loss, acts, diff = _forward(weights, biases, activations, x_in, x_target)
     grads_w, grads_b = [], []
-    delta = (2.0 / len(x_in)) * diff * _act_deriv_from_output(acts[-1], activations[-1])
+    delta = (2.0 / len(x_in)) * diff
+    if activations[-1] != "linear":
+        delta *= _act_deriv_from_output(acts[-1], activations[-1])
     for i in range(len(weights) - 1, -1, -1):
         grads_w.append(acts[i].T @ delta)
         grads_b.append(delta.sum(axis=0))
@@ -164,7 +164,7 @@ def _train_single_dae(X, n_hidden, acts, cfg: Config, rng):
     return (w_enc, b_enc), (w_dec, b_dec), losses
 
 
-def pretrain_stack(features: FeatureMatrix | np.ndarray, cfg: Config, hidden_dim: int = 91) -> Network:
+def pretrain_stack(features: FeatureMatrix | np.ndarray, cfg: Config, hidden_dim: int) -> Network:
     """Greedy layer-wise pretraining: a tanh/linear autoencoder on the raw
     features, then a sigmoid/sigmoid one on its codes down to
     ``cfg.bottleneck_dim``. Deterministic given ``cfg.seed``; per-epoch clean
@@ -185,19 +185,6 @@ def pretrain_stack(features: FeatureMatrix | np.ndarray, cfg: Config, hidden_dim
         biases=[enc1[1], enc2[1], dec2[1], dec1[1]],
         train_losses=[losses1, losses2],
     )
-
-
-def random_network(input_dim: int, hidden_dim: int, bottleneck_dim: int, seed: int) -> Network:
-    """Untrained network with the standard layout (for tests and gradient
-    checks)."""
-    rng = np.random.default_rng(seed)
-    dims = [input_dim, hidden_dim, bottleneck_dim, hidden_dim, input_dim]
-    weights, biases = [], []
-    for i in range(4):
-        w, b = _init_layer(dims[i], dims[i + 1], rng)
-        weights.append(w)
-        biases.append(rng.normal(0.0, 0.1, size=b.shape))
-    return Network(weights=weights, biases=biases)
 
 
 def bottleneck(net: Network, f: FeatureMatrix) -> FeatureMatrix:

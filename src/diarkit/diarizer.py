@@ -37,7 +37,7 @@ class HmmModel:
 
     states: list[Gmm]
     min_dur_frames: int
-    self_loop_prob: float = 0.9
+    self_loop_prob: float
 
     def __post_init__(self):
         if self.min_dur_frames < 1:
@@ -158,7 +158,7 @@ def viterbi_path(log_emissions: np.ndarray, min_dur_frames: int, self_loop_prob:
 
 
 def segmental_em(
-    model: HmmModel, X: np.ndarray, max_iters: int = 10
+    model: HmmModel, X: np.ndarray, max_iters: int
 ) -> tuple[HmmModel, np.ndarray, list[float], list[int]]:
     """Alternate Viterbi alignment and warm-started per-state GMM refits
     until the alignment stops changing.
@@ -213,11 +213,7 @@ def merge_gain(g1: Gmm, X1: np.ndarray, ll1: float, g2: Gmm, X2: np.ndarray, ll2
 
 
 def _segments_from_labels(
-    labels: np.ndarray,
-    frame_index: np.ndarray,
-    hop_sec: float,
-    window_sec: float,
-    names: list[str],
+    labels: np.ndarray, frame_index: np.ndarray, cfg: Config, names: list[str]
 ) -> list[tuple[float, float, str]]:
     """Turn per-frame labels into time segments, splitting runs wherever the
     original frame index jumps (removed non-speech). A run ends at the start
@@ -225,7 +221,7 @@ def _segments_from_labels(
     adjacent runs share one boundary value and never overlap. Two runs of
     one label are split only at a frame gap, so at least one hop lies
     between them."""
-    half = window_sec / 2.0
+    hop_sec, half = cfg.hop_sec, cfg.window_sec / 2.0
     segs = []
     run_start = 0
     for i in range(1, len(labels) + 1):
@@ -254,7 +250,7 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
     frame_index = X.frame_index if X.frame_index is not None else np.arange(X.n_frames)
     has_ns = X.speech_mask is not None
 
-    T = max(1, int(round(cfg.min_duration_sec / X.hop_sec)))
+    T = max(1, int(round(cfg.min_duration_sec / cfg.hop_sec)))
     m_s = cfg.components_per_initial_segment
 
     speech_rows = np.flatnonzero(X.speech_mask) if has_ns else np.arange(X.n_frames)
@@ -326,7 +322,7 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
         model = HmmModel(states=new_states, min_dur_frames=T, self_loop_prob=cfg.self_loop_prob)
 
     names = [f"spk{k}" for k in range(n_speaker_states)] + [NON_SPEECH_LABEL] * has_ns
-    segs = _segments_from_labels(labels, frame_index, X.hop_sec, X.window_sec, names)
+    segs = _segments_from_labels(labels, frame_index, cfg, names)
     hyp = DiarizationHypothesis(segs)
     meta = {
         "final_states": model.n_states,

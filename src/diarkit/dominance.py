@@ -48,10 +48,7 @@ class DominanceReport:
 
 
 def extract_features(
-    hyp: DiarizationHypothesis,
-    energies: np.ndarray,
-    segment_len_sec: float = DEFAULT_SEGMENT_LEN_SEC,
-    session_duration_sec: float | None = None,
+    hyp: DiarizationHypothesis, energies: np.ndarray, segment_len_sec: float, session_duration_sec: float
 ) -> tuple[list[str], np.ndarray]:
     """Per-window, per-speaker turn counts, speaking time, and energy.
 
@@ -67,8 +64,7 @@ def extract_features(
         raise ValueError("empty hypothesis: no speaker segments")
     if len(energies) != len(segs):
         raise ValueError("need one energy value per hypothesis segment")
-    duration = session_duration_sec if session_duration_sec is not None else segs[-1][1]
-    n_windows = max(1, math.ceil(duration / segment_len_sec))
+    n_windows = max(1, math.ceil(session_duration_sec / segment_len_sec))
 
     cues = np.zeros((n_windows, len(speakers), len(FEATURE_NAMES)))
     for (start, end, label), energy in zip(segs, energies):
@@ -131,10 +127,7 @@ def dominance_scores(comb: np.ndarray) -> np.ndarray:
 
 
 def dominance_report(
-    hyp: DiarizationHypothesis,
-    energies: np.ndarray,
-    segment_len_sec: float = DEFAULT_SEGMENT_LEN_SEC,
-    session_duration_sec: float | None = None,
+    hyp: DiarizationHypothesis, energies: np.ndarray, segment_len_sec: float, session_duration_sec: float
 ) -> DominanceReport:
     """End-to-end: features, combination, and softmax scores per window."""
     speakers, cues = extract_features(hyp, energies, segment_len_sec, session_duration_sec)

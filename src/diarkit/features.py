@@ -21,7 +21,7 @@ LOG_FLOOR = 1e-10
 
 @dataclass
 class FeatureMatrix:
-    """frames x dim matrix with frame timing metadata.
+    """frames x dim matrix, framed by the ``hop_sec`` and ``window_sec`` of a ``Config``.
 
     ``speech_mask`` marks speech frames (None means unknown/all speech).
     ``frame_index`` maps rows back to original frame indices after
@@ -29,8 +29,6 @@ class FeatureMatrix:
     """
 
     data: np.ndarray
-    hop_sec: float = 0.010
-    window_sec: float = 0.025
     speech_mask: np.ndarray | None = None
     frame_index: np.ndarray | None = None
 
@@ -72,12 +70,12 @@ def mel_filterbank(n_mels: int, n_fft: int, rate: int) -> np.ndarray:
     return fb
 
 
-def mfcc(signal: np.ndarray, rate: int, cfg: Config | None = None) -> FeatureMatrix:
-    """13-dim MFCCs (c0 included): pre-emphasis, Hamming window, power
-    spectrum, mel filterbank, floored log, orthonormal DCT-II. The band and
-    the window sizes follow ``rate``, not ``cfg.sample_rate``.
+def mfcc(signal: np.ndarray, cfg: Config) -> FeatureMatrix:
+    """MFCCs (c0 included) of a signal at ``cfg.sample_rate``: pre-emphasis,
+    Hamming window, power spectrum, mel filterbank, floored log, orthonormal
+    DCT-II.
     """
-    cfg = cfg or Config()
+    rate = cfg.sample_rate
     signal = np.asarray(signal, dtype=np.float64)
     win = int(round(cfg.window_sec * rate))
     hop = int(round(cfg.hop_sec * rate))
@@ -91,17 +89,15 @@ def mfcc(signal: np.ndarray, rate: int, cfg: Config | None = None) -> FeatureMat
     fb = mel_filterbank(cfg.n_mels, cfg.n_fft, rate)
     logmel = np.log(np.maximum(spectrum @ fb.T, LOG_FLOOR))
     coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_coeffs]
-    return FeatureMatrix(coeffs, hop_sec=cfg.hop_sec, window_sec=cfg.window_sec)
+    return FeatureMatrix(coeffs)
 
 
-def cmvn(f: FeatureMatrix, mask: np.ndarray | None = None) -> FeatureMatrix:
+def cmvn(f: FeatureMatrix, mask: np.ndarray) -> FeatureMatrix:
     """Zero-mean unit-variance per dimension, statistics over speech frames.
 
     Dimensions with vanishing variance are zeroed (and reported) instead of
     amplifying noise.
     """
-    if mask is None:
-        mask = f.speech_mask if f.speech_mask is not None else np.ones(f.n_frames, dtype=bool)
     mask = np.asarray(mask, dtype=bool)
     if mask.sum() < 2:
         raise ValueError("CMVN needs at least 2 speech frames")
@@ -124,12 +120,10 @@ def concat_streams(per_channel: list[FeatureMatrix]) -> FeatureMatrix:
     for i, f in enumerate(per_channel[1:], start=1):
         if f.n_frames != first.n_frames:
             raise ValueError(f"channel {i} has {f.n_frames} frames, expected {first.n_frames}")
-        if abs(f.hop_sec - first.hop_sec) > 1e-12:
-            raise ValueError("channels disagree on hop")
     return replace(first, data=np.hstack([f.data for f in per_channel]))
 
 
-def splice(f: FeatureMatrix, left: int = 5, right: int = 5) -> FeatureMatrix:
+def splice(f: FeatureMatrix, left: int, right: int) -> FeatureMatrix:
     """Stack each frame with its temporal context, replicating the edge
     frame where context is missing."""
     n = f.n_frames
@@ -139,9 +133,9 @@ def splice(f: FeatureMatrix, left: int = 5, right: int = 5) -> FeatureMatrix:
     return replace(f, data=stacked)
 
 
-def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple]) -> np.ndarray:
+def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple], cfg: Config) -> np.ndarray:
     """A frame is speech when its center time lies inside any segment."""
-    centers = np.arange(f.n_frames) * f.hop_sec + f.window_sec / 2.0
+    centers = np.arange(f.n_frames) * cfg.hop_sec + cfg.window_sec / 2.0
     mask = np.zeros(f.n_frames, dtype=bool)
     for seg in sad_segments:
         start, end = seg[0], seg[1]
@@ -149,16 +143,17 @@ def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple]) -> np.ndarray
     return mask
 
 
-def write_features(path: str, f: FeatureMatrix):
+def write_features(path: str, f: FeatureMatrix, hop_sec: float):
     """Flat binary dump: 16-byte header (magic, frames, dim, hop in
     microseconds), then row-major little-endian float32."""
-    header = struct.pack("<4sIII", FEATURE_MAGIC, f.n_frames, f.dim, int(round(f.hop_sec * 1e6)))
+    header = struct.pack("<4sIII", FEATURE_MAGIC, f.n_frames, f.dim, int(round(hop_sec * 1e6)))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(f.data.astype("<f4").tobytes(order="C"))
 
 
-def read_features(path: str) -> FeatureMatrix:
+def read_features(path: str) -> tuple[FeatureMatrix, float]:
+    """Inverse of ``write_features``: the matrix and the hop in seconds."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16:
@@ -167,4 +162,4 @@ def read_features(path: str) -> FeatureMatrix:
         if magic != FEATURE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
         data = np.frombuffer(fh.read(frames * dim * 4), dtype="<f4").reshape(frames, dim)
-    return FeatureMatrix(data.astype(np.float64), hop_sec=hop_us / 1e6)
+    return FeatureMatrix(data.astype(np.float64)), hop_us / 1e6

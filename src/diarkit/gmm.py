@@ -171,13 +171,13 @@ def em_refine(g: Gmm, X: np.ndarray, max_iters: int = 20, tol: float = 1e-4) -> 
     return out
 
 
-def em_fit(X: np.ndarray, n_components: int, seed: int, max_iters: int = 20, tol: float = 1e-4) -> Gmm:
+def em_fit(X: np.ndarray, n_components: int, seed: int) -> Gmm:
     """k-means initialization plus EM on a diagonal GMM."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if len(X) < 2 * n_components:
         raise ValueError(f"need at least {2 * n_components} frames for {n_components} components")
     init = kmeans_init(X, n_components, seed)
-    return em_refine(init, X, max_iters=max_iters, tol=tol)
+    return em_refine(init, X)
 
 
 def merge_init(g1: Gmm, g2: Gmm) -> Gmm:

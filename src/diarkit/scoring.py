@@ -9,6 +9,7 @@ non-speech label count as silence on either side.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +130,7 @@ def score_der(reference, hypothesis, collar_sec: float = 0.0) -> DerBreakdown:
     return DerBreakdown(fa_sec=fa, miss_sec=miss, err_sec=err, total_sec=total, mapping=mapping)
 
 
-def rttm_format(hyp, file_id: str = "session") -> str:
+def rttm_format(hyp, file_id: str) -> str:
     """SPEAKER records, one per segment; non-speech segments are omitted.
 
     Start and end are rounded to the millisecond before the duration is
@@ -145,7 +146,7 @@ def rttm_format(hyp, file_id: str = "session") -> str:
     return "".join(lines)
 
 
-def rttm_write(hyp, path: str, file_id: str = "session"):
+def rttm_write(hyp, path: str, file_id: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(rttm_format(hyp, file_id=file_id))
 
@@ -164,6 +165,8 @@ def rttm_read(path: str) -> list[tuple[float, float, str]]:
                 tbeg, tdur = float(fields[3]), float(fields[4])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: bad time fields") from exc
+            if not (math.isfinite(tbeg) and math.isfinite(tbeg + tdur)):
+                raise ValueError(f"{path}: line {lineno}: non-finite time fields")
             if tdur < 0:
                 raise ValueError(f"{path}: line {lineno}: negative duration")
             segs.append((tbeg, tbeg + tdur, fields[7]))

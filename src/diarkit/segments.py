@@ -57,6 +57,3 @@ class DiarizationHypothesis:
     @property
     def speakers(self) -> list[str]:
         return [lab for lab in self.labels if lab != NON_SPEECH_LABEL]
-
-    def duration(self) -> float:
-        return self.segments[-1][1] if self.segments else 0.0

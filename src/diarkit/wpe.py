@@ -80,7 +80,7 @@ class WptTree:
         return float(sum(np.dot(leaf, leaf) for leaf in self.leaves))
 
 
-def wpt(signal: np.ndarray, depth: int = DEFAULT_DEPTH, sample_rate: int = 8000) -> WptTree:
+def wpt(signal: np.ndarray, sample_rate: int, depth: int = DEFAULT_DEPTH) -> WptTree:
     """Depth-``depth`` full packet tree; requires at least 2**depth samples."""
     signal = np.asarray(signal, dtype=np.float64)
     block = 1 << depth
@@ -127,19 +127,12 @@ def band_energy(tree: WptTree, f_lo: float = BAND_HZ[0], f_hi: float = BAND_HZ[1
     return total
 
 
-def segment_energy(
-    channel: np.ndarray,
-    segments: list[tuple],
-    sample_rate: int = 8000,
-    f_lo: float = BAND_HZ[0],
-    f_hi: float = BAND_HZ[1],
-    depth: int = DEFAULT_DEPTH,
-) -> np.ndarray:
-    """Band-limited wavelet-packet energy of each ``(start, end, ...)``
+def segment_energy(channel: np.ndarray, segments: list[tuple], sample_rate: int) -> np.ndarray:
+    """``BAND_HZ`` wavelet-packet energy of each ``(start, end, ...)``
     segment of the reference channel; short segments are zero-padded up to
     the minimum transform length."""
     channel = np.asarray(channel, dtype=np.float64)
-    block = 1 << depth
+    block = 1 << DEFAULT_DEPTH
     out = np.empty(len(segments))
     for i, seg in enumerate(segments):
         start, end = seg[0], seg[1]
@@ -149,5 +142,5 @@ def segment_energy(
         samples = channel[i0:i1]
         if len(samples) < block:
             samples = np.concatenate([samples, np.zeros(block - len(samples))])
-        out[i] = band_energy(wpt(samples, depth=depth, sample_rate=sample_rate), f_lo, f_hi)
+        out[i] = band_energy(wpt(samples, sample_rate))
     return out

@@ -16,6 +16,7 @@ from diarkit import audio_io, cli, dae, dominance, gmm, scoring, wpe
 from diarkit.config import Config
 from diarkit.diarizer import HmmModel, diarize, segmental_em, viterbi_path
 from diarkit.features import FeatureMatrix
+from test_dae import random_network
 from test_diarizer import enumerate_best_path, gain_on_own_frames
 
 
@@ -38,7 +39,7 @@ def end_to_end():
     script = audio_io.demo_script(4, 300.0, seed=SESSION_SEED, turn_range=(2.0, 6.0), gap_range=(0.3, 0.8))
     delays = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 2.5]
     gains = [1.0, 0.95, 0.9, 0.8, 0.7, 0.6, 0.5]
-    audio, reference = audio_io.synth_session(script, 7, delays, gains, noise_snr_db=15.0, seed=SYNTH_SEED)
+    audio, reference = audio_io.synth_session(script, 7, delays, gains, noise_snr_db=15.0, seed=SYNTH_SEED, rate=8000)
     sad = audio_io.sad_from_script(script)
     synth_seconds = time.time() - t0
 
@@ -120,7 +121,7 @@ def test_criterion_3_em_monotonicity():
 
 
 def test_criterion_4_dae_gradients_and_compression():
-    net = dae.random_network(7, 4, 2, seed=42)
+    net = random_network(7, 4, 2, seed=42)
     rng = np.random.default_rng(7)
     X = rng.normal(size=(6, 7))
     _, gw, gb = dae.loss_and_grads(net.weights, net.biases, dae.ACTIVATIONS, X, X)
@@ -156,13 +157,13 @@ def test_criterion_4_dae_gradients_and_compression():
 def test_criterion_5_wavelet_correctness():
     rng = np.random.default_rng(5)
     x = rng.normal(size=4096)
-    tree = wpe.wpt(x)
+    tree = wpe.wpt(x, 8000)
     parseval = abs(tree.total_energy() - np.dot(x, x)) / np.dot(x, x)
     roundtrip = float(np.abs(wpe.inverse_wpt(tree) - x).max())
     t = np.arange(4096) / 8000.0
-    in_tree = wpe.wpt(np.sin(2 * np.pi * 1000 * t))
+    in_tree = wpe.wpt(np.sin(2 * np.pi * 1000 * t), 8000)
     in_frac = wpe.band_energy(in_tree, 50, 2000) / in_tree.total_energy()
-    out_tree = wpe.wpt(np.sin(2 * np.pi * 3000 * t))
+    out_tree = wpe.wpt(np.sin(2 * np.pi * 3000 * t), 8000)
     out_frac = wpe.band_energy(out_tree, 50, 2000) / out_tree.total_energy()
     ok = roundtrip < 1e-8 and parseval < 1e-6 and in_frac >= 0.90 and out_frac <= 0.10
     _report(
@@ -227,8 +228,8 @@ def test_criterion_8_dominance_scores():
         session_share[spk] += dur
     session_share /= session_share.sum()
     np.testing.assert_allclose(session_share, [0.4, 0.3, 0.2, 0.1], atol=0.02)
-    audio, reference = audio_io.synth_session(script, 1, [0.0], [1.0], noise_snr_db=20.0, seed=8)
-    energies = wpe.segment_energy(audio.channels[0], reference.segments, sample_rate=audio.sample_rate)
+    audio, reference = audio_io.synth_session(script, 1, [0.0], [1.0], noise_snr_db=20.0, seed=8, rate=8000)
+    energies = wpe.segment_energy(audio.channels[0], reference.segments, audio.sample_rate)
     report = dominance.dominance_report(
         reference, energies, segment_len_sec=300.0, session_duration_sec=script.total_duration_sec
     )
@@ -278,7 +279,7 @@ def test_criterion_9_min_duration_invariant():
                 min_duration_sec=t_min,
                 seed=trial,
             )
-            f = FeatureMatrix(X, hop_sec=0.010, window_sec=0.025)
+            f = FeatureMatrix(X)
             hyp, meta = diarize(f, cfg)
             T = meta["min_dur_frames"]
             runs += 1

@@ -116,7 +116,7 @@ def test_load_session_duration_mismatch_names_file(tmp_path):
     wavfile.write(a, rate, sine(200, rate, 1.0).astype(np.float32))
     wavfile.write(b, rate, sine(200, rate, 1.2).astype(np.float32))
     with pytest.raises(ValueError, match="b.wav"):
-        audio_io.load_session([str(a), str(b)])
+        audio_io.load_session([str(a), str(b)], target_rate=8000)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -126,7 +126,7 @@ def test_load_session_rejects_non_finite_samples(tmp_path, bad):
     samples[100] = bad
     wavfile.write(path, 8000, samples.astype(np.float32))
     with pytest.raises(ValueError, match="non-finite samples in .*bad.wav"):
-        audio_io.load_session([str(path)])
+        audio_io.load_session([str(path)], target_rate=8000)
 
 
 def test_load_session_rejects_stereo_in_multi_file_mode(tmp_path):
@@ -135,7 +135,7 @@ def test_load_session_rejects_stereo_in_multi_file_mode(tmp_path):
     wavfile.write(mono, rate, sine(200, rate, 0.3).astype(np.float32))
     wavfile.write(stereo, rate, np.stack([sine(200, rate, 0.3)] * 2, axis=1).astype(np.float32))
     with pytest.raises(ValueError, match="mono"):
-        audio_io.load_session([str(mono), str(stereo)])
+        audio_io.load_session([str(mono), str(stereo)], target_rate=8000)
 
 
 def _small_script(duration=12.0):
@@ -147,7 +147,7 @@ def _small_script(duration=12.0):
 
 
 def test_synth_session_shape_and_reference():
-    audio, ref = synth_session(_small_script(), 3, [0.0, 1.0, 2.0], [1.0, 0.8, 0.6], 20.0, seed=7)
+    audio, ref = synth_session(_small_script(), 3, [0.0, 1.0, 2.0], [1.0, 0.8, 0.6], 20.0, seed=7, rate=8000)
     assert audio.channel_count == 3
     assert audio.n_samples == 12 * 8000
     assert [s[2] for s in ref.segments] == ["spk0", "spk1", "spk0"]
@@ -155,22 +155,22 @@ def test_synth_session_shape_and_reference():
 
 def test_synth_session_deterministic():
     args = (_small_script(), 2, [0.0, 2.0], [1.0, 0.7], 15.0)
-    a1, _ = synth_session(*args, seed=3)
-    a2, _ = synth_session(*args, seed=3)
+    a1, _ = synth_session(*args, seed=3, rate=8000)
+    a2, _ = synth_session(*args, seed=3, rate=8000)
     for c1, c2 in zip(a1.channels, a2.channels):
         assert np.array_equal(c1, c2)
 
 
 def test_synth_session_empty_events_is_pure_noise():
     script = SessionScript(speakers=[VoiceSpec(f0_hz=120)], events=[], total_duration_sec=1.0)
-    audio, ref = synth_session(script, 2, [0.0, 1.0], [1.0, 1.0], 15.0, seed=0)
+    audio, ref = synth_session(script, 2, [0.0, 1.0], [1.0, 1.0], 15.0, seed=0, rate=8000)
     assert ref.segments == []
     assert np.std(audio.channels[0]) > 0
 
 
 def test_synth_session_delay_shows_in_cross_correlation():
     delays = [0.0, 3.0]
-    audio, _ = synth_session(_small_script(), 2, delays, [1.0, 1.0], 30.0, seed=1)
+    audio, _ = synth_session(_small_script(), 2, delays, [1.0, 1.0], 30.0, seed=1, rate=8000)
     rate = audio.sample_rate
     a = audio.channels[0][: 4 * rate]
     b = audio.channels[1][: 4 * rate]
@@ -182,7 +182,7 @@ def test_synth_session_delay_shows_in_cross_correlation():
 
 def test_synth_session_rejects_huge_delay():
     with pytest.raises(ValueError, match="delay"):
-        synth_session(_small_script(), 2, [0.0, 60.0], [1.0, 1.0], 15.0, seed=0)
+        synth_session(_small_script(), 2, [0.0, 60.0], [1.0, 1.0], 15.0, seed=0, rate=8000)
 
 
 def test_synth_session_rejects_close_fundamentals():
@@ -192,7 +192,7 @@ def test_synth_session_rejects_close_fundamentals():
         total_duration_sec=4.0,
     )
     with pytest.raises(ValueError, match="30 Hz"):
-        synth_session(script, 1, [0.0], [1.0], 15.0, seed=0)
+        synth_session(script, 1, [0.0], [1.0], 15.0, seed=0, rate=8000)
 
 
 def test_read_segments_basic(tmp_path):
@@ -205,6 +205,14 @@ def test_read_segments_end_before_start(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("5.0 4.0\n")
     with pytest.raises(ValueError, match="line 1"):
+        audio_io.read_segments(str(path))
+
+
+@pytest.mark.parametrize("line", ["nan 4.0", "0.0 inf", "-inf 1.0"])
+def test_read_segments_rejects_non_finite_times(tmp_path, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0.0 1.0\n{line}\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: non-finite time at line 2"):
         audio_io.read_segments(str(path))
 
 

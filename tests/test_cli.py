@@ -8,7 +8,7 @@ import pytest
 from diarkit import audio_io, cli, dae, scoring
 from diarkit.audio_io import SessionScript, VoiceSpec
 from diarkit.config import Config
-from test_dae import write_model
+from test_dae import random_network, write_model
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +152,8 @@ def test_score_identical_files(synth_dir, capsys):
 
 def test_score_hand_worked_example(tmp_path, capsys):
     ref, hyp = str(tmp_path / "r.rttm"), str(tmp_path / "h.rttm")
-    scoring.rttm_write([(0.0, 10.0, "A"), (10.0, 20.0, "B")], ref)
-    scoring.rttm_write([(0.0, 12.0, "spk1"), (12.0, 20.0, "spk2")], hyp)
+    scoring.rttm_write([(0.0, 10.0, "A"), (10.0, 20.0, "B")], ref, "r")
+    scoring.rttm_write([(0.0, 12.0, "spk1"), (12.0, 20.0, "spk2")], hyp, "h")
     json_out = str(tmp_path / "der.json")
     rc = cli.main(["score", "--ref", ref, "--hyp", hyp, "--json", json_out])
     assert rc == 0
@@ -167,6 +167,15 @@ def test_score_missing_file_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("tbeg, tdur", [("nan", "1.000"), ("1.000", "inf")])
+def test_score_non_finite_hypothesis_time_exits_1(tmp_path, capsys, tbeg, tdur):
+    ref, hyp = str(tmp_path / "r.rttm"), tmp_path / "h.rttm"
+    scoring.rttm_write([(0.0, 10.0, "A"), (10.0, 20.0, "B")], ref, "r")
+    hyp.write_text(f"SPEAKER h 1 0.000 10.000 <NA> <NA> a <NA> <NA>\nSPEAKER h 1 {tbeg} {tdur} <NA> <NA> b <NA> <NA>\n")
+    assert cli.main(["score", "--ref", ref, "--hyp", str(hyp)]) == 1
+    assert "h.rttm: line 2: non-finite time fields" in capsys.readouterr().err
+
+
 def test_dominance_alternating_fixture(tmp_path, capsys):
     rate = 8000
     rng = np.random.default_rng(4)
@@ -175,11 +184,11 @@ def test_dominance_alternating_fixture(tmp_path, capsys):
         events=[(i % 2, 2.0 * i + 0.2, 1.6) for i in range(150)],
         total_duration_sec=310.0,
     )
-    audio, ref = audio_io.synth_session(script, 1, [0.0], [1.0], 25.0, seed=5)
+    audio, ref = audio_io.synth_session(script, 1, [0.0], [1.0], 25.0, seed=5, rate=rate)
     wav = str(tmp_path / "ch0.wav")
     audio_io.write_wav(wav, audio.channels[0], rate)
     hyp_path = str(tmp_path / "ref.rttm")
-    scoring.rttm_write(ref, hyp_path)
+    scoring.rttm_write(ref, hyp_path, "ref")
     csv_path = str(tmp_path / "dom.csv")
     rc = cli.main(["dominance", "--hyp", hyp_path, "--audio", wav, "--out", csv_path])
     assert rc == 0
@@ -229,8 +238,9 @@ def test_features_dump_command(synth_dir, tmp_path):
         ]
     )
     assert rc == 0
-    f = feat_mod.read_features(out)
+    f, hop_sec = feat_mod.read_features(out)
     assert f.dim == 26  # 2 channels x 13
+    assert abs(hop_sec - Config.hop_sec) < 1e-9
 
 
 def test_config_file_and_flag_precedence(synth_dir, tmp_path):
@@ -427,7 +437,7 @@ def test_dominance_bad_window_or_rate_exits_2(tmp_path, capsys, flag, value):
 def test_dae_model_must_fit_the_config(synth_dir, tmp_path, capsys, dims):
     # Two channels of 13 MFCCs spliced +-5 frames: the config needs 286 -> 8.
     model = str(tmp_path / "net.sdae")
-    dae.save_network(dae.random_network(dims[0], 26, dims[1], seed=0), model)
+    dae.save_network(random_network(dims[0], 26, dims[1], seed=0), model)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("bottleneck_dim = 8\n")
     out = tmp_path / "hyp.rttm"

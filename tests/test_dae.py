@@ -12,6 +12,19 @@ from diarkit.dae import bottleneck, corrupt, load_network, pretrain_stack, save_
 from diarkit.features import FeatureMatrix
 
 
+def random_network(input_dim, hidden_dim, bottleneck_dim, seed):
+    """Untrained network with the standard layout and small random biases,
+    for gradient checks and model-file tests."""
+    rng = np.random.default_rng(seed)
+    dims = [input_dim, hidden_dim, bottleneck_dim, hidden_dim, input_dim]
+    weights, biases = [], []
+    for i in range(4):
+        w, b = dae._init_layer(dims[i], dims[i + 1], rng)
+        weights.append(w)
+        biases.append(rng.normal(0.0, 0.1, size=b.shape))
+    return dae.Network(weights=weights, biases=biases)
+
+
 def test_corrupt_level_zero_identity():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(10, 5))
@@ -28,7 +41,7 @@ def test_corrupt_gaussian_noise_std():
 
 def test_gradients_match_finite_differences():
     # oracle: central differences on the full-stack reconstruction loss
-    net = dae.random_network(7, 4, 2, seed=42)
+    net = random_network(7, 4, 2, seed=42)
     rng = np.random.default_rng(7)
     X = rng.normal(size=(6, 7))
     _, gw, gb = dae.loss_and_grads(net.weights, net.biases, dae.ACTIVATIONS, X, X)
@@ -130,7 +143,7 @@ def test_training_loss_mostly_non_increasing():
 
 def test_pretrain_needs_enough_frames():
     with pytest.raises(ValueError, match="frames"):
-        pretrain_stack(np.zeros((10, 4)), Config(batch_size=256))
+        pretrain_stack(np.zeros((10, 4)), Config(batch_size=256), hidden_dim=3)
 
 
 def test_divergence_aborts_with_diagnostics():
@@ -162,7 +175,7 @@ def wide_features(n, dim=1001, rank=3, seed=0):
 
 def test_bottleneck_not_saturated_on_wide_input():
     X = wide_features(2048)
-    out = pretrain_stack(X, Config()).encode(X)
+    out = pretrain_stack(X, Config(), hidden_dim=91).encode(X)
     saturated = ((out < 0.01) | (out > 0.99)).mean()
     assert saturated <= 0.05, saturated
 
@@ -173,7 +186,7 @@ import numpy as np
 from diarkit.config import Config
 from diarkit.dae import pretrain_stack
 X = np.load(sys.argv[1])
-np.save(sys.argv[2], pretrain_stack(X, Config()).encode(X))
+np.save(sys.argv[2], pretrain_stack(X, Config(), hidden_dim=91).encode(X))
 """
 
 
@@ -210,13 +223,13 @@ def test_bottleneck_rowwise_stateless():
 
 
 def test_bottleneck_dim_mismatch():
-    net = dae.random_network(8, 4, 2, seed=0)
+    net = random_network(8, 4, 2, seed=0)
     with pytest.raises(ValueError, match="dim"):
         bottleneck(net, FeatureMatrix(np.zeros((3, 5))))
 
 
 def test_network_save_load_round_trip(tmp_path):
-    net = dae.random_network(9, 5, 3, seed=6)
+    net = random_network(9, 5, 3, seed=6)
     path = tmp_path / "model.sdae"
     save_network(net, str(path))
     back = load_network(str(path))

@@ -128,7 +128,7 @@ def test_log_emissions_match_direct_formula():
     silence[:, 0] = math.log(1e-10)
     states.append(gmm.em_fit(silence, 2, seed=5))
     assert (states[-1].variances[:, 0] == gmm.ABS_VAR_FLOOR).all()
-    model = HmmModel(states=states, min_dur_frames=3)
+    model = HmmModel(states=states, min_dur_frames=3, self_loop_prob=0.9)
     X = rng.normal(scale=4.0, size=(200, dim))
     X[::2, 0] = math.log(1e-10)
     expected = np.empty((len(X), len(states)))
@@ -333,7 +333,7 @@ def test_merge_gain_needs_enough_frames():
 
 
 def make_feature_matrix(X, mask=None):
-    return FeatureMatrix(X, hop_sec=0.010, window_sec=0.025, speech_mask=mask)
+    return FeatureMatrix(X, speech_mask=mask)
 
 
 def synthetic_session_features(rng, n_speakers=3, dim=6, turn_frames=(60, 120), n_turns=24, sep=4.0):
@@ -441,7 +441,7 @@ def test_diarize_no_sad_mode_emits_ns_label():
         rows.append(silence[: block // 4])
         mask.extend([False] * (block // 4))
     data = np.vstack(rows)
-    f = FeatureMatrix(data, hop_sec=0.010, window_sec=0.025, speech_mask=np.array(mask))
+    f = FeatureMatrix(data, speech_mask=np.array(mask))
     cfg = Config(n_speakers=2, initial_states=6, min_duration_sec=0.2, seed=2)
     hyp, meta = diarize(f, cfg)
     assert meta["no_sad_mode"]

@@ -15,7 +15,7 @@ from diarkit.segments import DiarizationHypothesis
 def cues_for(hyp, energies=None, **kwargs):
     if energies is None:
         energies = np.ones(len(hyp.segments))
-    return extract_features(hyp, energies, **kwargs)
+    return extract_features(hyp, energies, segment_len_sec=300.0, **kwargs)
 
 
 def test_single_segment_counts():
@@ -59,7 +59,7 @@ def test_ns_segments_excluded():
 
 def test_empty_hypothesis_rejected():
     with pytest.raises(ValueError, match="empty"):
-        extract_features(DiarizationHypothesis([]), np.array([]))
+        extract_features(DiarizationHypothesis([]), np.array([]), 300.0, 300.0)
 
 
 def mixed_session_table(rng, n_windows=4, n_speakers=3):
@@ -79,7 +79,7 @@ def test_zscore_and_projection_properties():
     rng = np.random.default_rng(0)
     hyp, energies, total = mixed_session_table(rng)
     # segments were laid out densely; re-spread over windows via duration
-    _, cues = extract_features(hyp, energies, session_duration_sec=hyp.duration())
+    _, cues = extract_features(hyp, energies, 300.0, hyp.segments[-1][1])
     comb, axis, eig = normalize_and_combine(cues)
     assert comb.shape == cues.shape[:2]
     assert abs(np.linalg.norm(axis) - 1.0) < 1e-12
@@ -100,7 +100,7 @@ def test_perfectly_correlated_features_rank_one():
             energies.append(dur)  # spens == spts exactly
             t += dur + 0.5
     hyp = DiarizationHypothesis(hyp_segments)
-    _, cues = extract_features(hyp, np.array(energies), session_duration_sec=hyp.duration())
+    _, cues = extract_features(hyp, np.array(energies), 300.0, hyp.segments[-1][1])
     # turns is constant (1 per window) so only spts/spens vary, identically
     _, axis, eig = normalize_and_combine(cues)
     expected = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
@@ -119,7 +119,7 @@ def test_degenerate_session_rejected():
 
 def test_single_speaker_session_scores_one():
     hyp = DiarizationHypothesis([(0.0, 10.0, "solo")])
-    report = dominance_report(hyp, np.array([3.0]), session_duration_sec=250.0)
+    report = dominance_report(hyp, np.array([3.0]), segment_len_sec=300.0, session_duration_sec=250.0)
     assert report.speakers == ["solo"]
     np.testing.assert_allclose(report.ds, 1.0)
 
@@ -158,7 +158,7 @@ def test_softmax_properties(values, shift):
 def test_report_csv_layout():
     rng = np.random.default_rng(2)
     hyp, energies, _ = mixed_session_table(rng, n_windows=2, n_speakers=2)
-    report = dominance_report(hyp, energies, session_duration_sec=hyp.duration())
+    report = dominance_report(hyp, energies, 300.0, hyp.segments[-1][1])
     lines = report.to_csv().strip().split("\n")
     assert lines[0] == "segment,speaker,turns,spts,spens,comb,ds"
     assert len(lines) == 1 + report.n_segments * len(report.speakers)
@@ -169,7 +169,7 @@ def test_report_csv_layout():
 def test_ds_rows_sum_to_one():
     rng = np.random.default_rng(3)
     hyp, energies, _ = mixed_session_table(rng, n_windows=5, n_speakers=4)
-    report = dominance_report(hyp, energies, session_duration_sec=hyp.duration())
+    report = dominance_report(hyp, energies, 300.0, hyp.segments[-1][1])
     np.testing.assert_allclose(report.ds.sum(axis=1), 1.0, atol=1e-12)
     assert (report.ds > 0).all()
 
@@ -177,7 +177,7 @@ def test_ds_rows_sum_to_one():
 def test_silent_speaker_has_minimal_score_with_positive_loadings():
     segs = [(0.0, 50.0, "talker"), (60.0, 100.0, "talker"), (150.0, 170.0, "quiet")]
     hyp = DiarizationHypothesis(segs)
-    report = dominance_report(hyp, np.array([5.0, 4.0, 1.0]), session_duration_sec=600.0)
+    report = dominance_report(hyp, np.array([5.0, 4.0, 1.0]), segment_len_sec=300.0, session_duration_sec=600.0)
     if (report.pca_axis >= 0).all():
         # window 1 (300-600s): quiet speaker silent, talker silent too; skip
         w = 0

@@ -58,14 +58,14 @@ def reference_mfcc(signal, rate=8000):
 
 
 def test_mfcc_zero_signal_single_frame():
-    out = mfcc(np.zeros(200), 8000)
+    out = mfcc(np.zeros(200), Config())
     assert out.data.shape == (1, 13)
     assert abs(out.data[0, 0]) > 1.0  # c0 carries the log floor
     np.testing.assert_allclose(out.data[0, 1:], 0.0, atol=1e-12)
 
 
 def test_mfcc_frame_count_one_second():
-    out = mfcc(np.random.default_rng(0).normal(size=8000), 8000)
+    out = mfcc(np.random.default_rng(0).normal(size=8000), Config())
     assert out.n_frames == 98
 
 
@@ -73,30 +73,31 @@ def test_mfcc_matches_independent_oracle():
     rate = 8000
     t = np.arange(rate) / rate
     signal = np.sin(2 * np.pi * 1000 * t)
-    ours = mfcc(signal, rate).data
+    ours = mfcc(signal, Config(sample_rate=rate)).data
     theirs = reference_mfcc(signal[: 200 + 80 * 12])  # first 13 frames are plenty
     np.testing.assert_allclose(ours[:13], theirs, atol=1e-6)
     np.testing.assert_allclose(ours[10], theirs[10], atol=1e-6)
 
 
-def test_mfcc_library_band_is_the_pipeline_band():
-    # A library call gets the band the pipeline uses: 0 Hz to half the rate
-    # it is given, whatever the config's sample_rate says.
+def test_mfcc_every_window_sample_counts():
+    # At 16 kHz the 25 ms window is 400 samples; the tail of the first
+    # window must reach the first frame, not be cut off at n_fft.
+    cfg = Config(sample_rate=16000, n_fft=512)
     x = np.random.default_rng(5).normal(size=16000)
-    direct = mfcc(x, 16000, Config(n_fft=512))
-    staged = mfcc(x, 16000, Config(sample_rate=16000, n_fft=512))
-    np.testing.assert_array_equal(direct.data, staged.data)
+    cut = x.copy()
+    cut[300:400] = 0.0
+    assert not np.array_equal(mfcc(x, cfg).data[0], mfcc(cut, cfg).data[0])
 
 
 def test_mfcc_too_short_signal():
     with pytest.raises(ValueError, match="shorter"):
-        mfcc(np.zeros(150), 8000)
+        mfcc(np.zeros(150), Config())
 
 
 def test_cmvn_zero_mean_unit_variance():
     rng = np.random.default_rng(1)
     f = FeatureMatrix(rng.normal(3.0, 5.0, size=(400, 13)))
-    out = cmvn(f)
+    out = cmvn(f, np.ones(400, dtype=bool))
     assert np.abs(out.data.mean(axis=0)).max() < 1e-10
     assert np.abs(out.data.var(axis=0) - 1).max() < 1e-8
 
@@ -115,14 +116,15 @@ def test_cmvn_constant_dimension_zeroed_with_warning():
     data = np.random.default_rng(3).normal(size=(50, 3))
     data[:, 1] = 4.2
     with pytest.warns(UserWarning, match="constant"):
-        out = cmvn(FeatureMatrix(data))
+        out = cmvn(FeatureMatrix(data), np.ones(50, dtype=bool))
     assert np.all(out.data[:, 1] == 0.0)
 
 
 def test_cmvn_idempotent():
     f = FeatureMatrix(np.random.default_rng(4).normal(2, 3, size=(200, 5)))
-    once = cmvn(f)
-    twice = cmvn(once)
+    everything = np.ones(200, dtype=bool)
+    once = cmvn(f, everything)
+    twice = cmvn(once, everything)
     np.testing.assert_allclose(twice.data, once.data, atol=1e-10)
 
 
@@ -133,8 +135,9 @@ def test_cmvn_idempotent():
 @settings(max_examples=25, deadline=None)
 def test_cmvn_affine_invariance(scale, shift):
     data = np.random.default_rng(5).normal(size=(64, 3))
-    base = cmvn(FeatureMatrix(data)).data
-    scaled = cmvn(FeatureMatrix(scale * data + shift)).data
+    everything = np.ones(64, dtype=bool)
+    base = cmvn(FeatureMatrix(data), everything).data
+    scaled = cmvn(FeatureMatrix(scale * data + shift), everything).data
     np.testing.assert_allclose(scaled, base, atol=1e-8)
 
 
@@ -167,7 +170,7 @@ def test_concat_streams_frame_mismatch():
 
 def test_splice_dimensions():
     f = FeatureMatrix(np.random.default_rng(8).normal(size=(50, 91)))
-    assert splice(f).dim == 1001
+    assert splice(f, 5, 5).dim == 1001
 
 
 def test_splice_single_frame_replicates():
@@ -204,7 +207,7 @@ def _session_features(audio, sad, mode):
 
 def test_sad_full_coverage_keeps_every_frame():
     f = FeatureMatrix(np.random.default_rng(11).normal(size=(100, 2)))
-    assert features.speech_frame_mask(f, [(0.0, 10.0)]).all()
+    assert features.speech_frame_mask(f, [(0.0, 10.0)], Config()).all()
     audio = _noise_audio()
     oracle = _session_features(audio, [(0.0, 10.0)], "oracle-sad")
     no_sad = _session_features(audio, [(0.0, 10.0)], "no-sad")
@@ -215,7 +218,7 @@ def test_sad_full_coverage_keeps_every_frame():
 
 def test_speech_frame_mask_center_rule_count():
     f = FeatureMatrix(np.random.default_rng(12).normal(size=(500, 2)))
-    assert abs(features.speech_frame_mask(f, [(1.0, 2.0)]).sum() - 100) <= 1
+    assert abs(features.speech_frame_mask(f, [(1.0, 2.0)], Config()).sum() - 100) <= 1
 
 
 def test_oracle_sad_rows_are_no_sad_rows_at_frame_index():
@@ -227,8 +230,14 @@ def test_oracle_sad_rows_are_no_sad_rows_at_frame_index():
     np.testing.assert_array_equal(oracle.data, no_sad.data[oracle.frame_index])
     assert oracle.speech_mask is None
     # every kept row's centre time lies inside a SAD segment
-    centres = oracle.frame_index * oracle.hop_sec + oracle.window_sec / 2.0
+    cfg = Config()
+    centres = oracle.frame_index * cfg.hop_sec + cfg.window_sec / 2.0
     assert all(any(s <= t <= e for s, e in sad) for t in centres)
+
+
+def test_session_features_refuse_audio_at_another_rate():
+    with pytest.raises(ValueError, match="16000 Hz"):
+        cli.extract_session_features(_noise_audio(rate=16000), [(0.0, 3.0)], Config(feature_kind="mfcc91"))
 
 
 def test_oracle_sad_empty_selection_refused():
@@ -239,15 +248,15 @@ def test_oracle_sad_empty_selection_refused():
 def test_feature_dump_round_trip(tmp_path):
     f = FeatureMatrix(np.random.default_rng(15).normal(size=(37, 21)).astype(np.float32).astype(np.float64))
     path = tmp_path / "f.bin"
-    features.write_features(str(path), f)
-    back = features.read_features(str(path))
+    features.write_features(str(path), f, 0.010)
+    back, hop_sec = features.read_features(str(path))
     assert back.data.shape == (37, 21)
-    assert abs(back.hop_sec - f.hop_sec) < 1e-9
+    assert abs(hop_sec - 0.010) < 1e-9
     np.testing.assert_allclose(back.data, f.data, atol=1e-6)
 
 
 def test_pipeline_deterministic():
     signal = np.random.default_rng(16).normal(size=16000)
-    a = mfcc(signal, 8000).data
-    b = mfcc(signal.copy(), 8000).data
+    a = mfcc(signal, Config()).data
+    b = mfcc(signal.copy(), Config()).data
     assert np.array_equal(a, b)

@@ -132,7 +132,7 @@ def test_kmeans_too_few_frames():
 def test_em_single_gaussian_recovers_sample_stats():
     rng = np.random.default_rng(6)
     X = rng.normal(-1.0, 2.0, size=(300, 2))
-    g = em_fit(X, 1, seed=0, max_iters=1)
+    g = em_refine(kmeans_init(X, 1, seed=0), X, max_iters=1)
     np.testing.assert_allclose(g.means[0], X.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(g.variances[0], X.var(axis=0), atol=1e-12)
 

@@ -152,7 +152,7 @@ def test_rttm_adjacent_segments_do_not_overlap(tmp_path):
     bounds = [k * 0.01 + 0.0125 - 0.005 for k in range(1, 3001)]
     segs = [(a, b, f"spk{i % 2}") for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
     path = tmp_path / "adjacent.rttm"
-    rttm_write(segs, str(path))
+    rttm_write(segs, str(path), "sess")
     back = rttm_read(str(path))
     assert len(back) == len(segs)
     overlaps = [prev[1] - nxt[0] for prev, nxt in zip(back, back[1:])]
@@ -179,6 +179,16 @@ def test_rttm_negative_duration(tmp_path):
         rttm_read(str(path))
 
 
+@pytest.mark.parametrize("tbeg, tdur", [("nan", "1.000"), ("inf", "1.000"), ("1.000", "inf"), ("1.000", "nan")])
+def test_rttm_non_finite_times(tmp_path, tbeg, tdur):
+    path = tmp_path / "bad.rttm"
+    path.write_text(
+        f"SPEAKER s1 1 0.000 1.000 <NA> <NA> a <NA> <NA>\nSPEAKER s1 1 {tbeg} {tdur} <NA> <NA> b <NA> <NA>\n"
+    )
+    with pytest.raises(ValueError, match=r"bad\.rttm: line 2: non-finite"):
+        rttm_read(str(path))
+
+
 def test_rttm_ignores_non_speaker_lines(tmp_path):
     path = tmp_path / "extra.rttm"
     path.write_text(";; comment\nSPKR-INFO x 1 <NA> <NA> <NA> unknown spk0 <NA>\nSPEAKER s1 1 1.000 1.000 <NA> <NA> a <NA> <NA>\n")
@@ -198,7 +208,7 @@ def test_rttm_round_trip_random_times(intervals):
 
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "r.rttm")
-        rttm_write(segs, path)
+        rttm_write(segs, path, "sess")
         back = rttm_read(path)
     assert len(back) == len(segs)
     for (s1, e1, _), (s2, e2, _) in zip(segs, back):

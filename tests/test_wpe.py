@@ -23,7 +23,7 @@ def test_filter_bank_orthonormality():
 
 def test_parseval_random_signal():
     x = np.random.default_rng(0).normal(size=4096)
-    tree = wpe.wpt(x)
+    tree = wpe.wpt(x, 8000)
     energy = np.dot(x, x)
     assert abs(tree.total_energy() - energy) / energy < 1e-6
 
@@ -32,45 +32,45 @@ def test_round_trip_reconstruction():
     rng = np.random.default_rng(1)
     for n in (4096, 5000, 64):
         x = rng.normal(size=n)
-        assert np.abs(wpe.inverse_wpt(wpe.wpt(x)) - x).max() < 1e-8
+        assert np.abs(wpe.inverse_wpt(wpe.wpt(x, 8000)) - x).max() < 1e-8
 
 
 def test_zero_signal_zero_coefficients():
-    tree = wpe.wpt(np.zeros(512))
+    tree = wpe.wpt(np.zeros(512), 8000)
     assert tree.total_energy() == 0.0
 
 
 def test_too_short_signal():
     with pytest.raises(ValueError, match="too short"):
-        wpe.wpt(np.zeros(32))
+        wpe.wpt(np.zeros(32), 8000)
 
 
 def test_band_energy_tone_inside_band():
-    tree = wpe.wpt(tone(1000))
+    tree = wpe.wpt(tone(1000), 8000)
     assert wpe.band_energy(tree, 50, 2000) / tree.total_energy() >= 0.90
 
 
 def test_band_energy_tone_outside_band():
-    tree = wpe.wpt(tone(3000))
+    tree = wpe.wpt(tone(3000), 8000)
     assert wpe.band_energy(tree, 50, 2000) / tree.total_energy() <= 0.10
 
 
 def test_band_energy_full_band_is_parseval_sum():
     x = np.random.default_rng(2).normal(size=2048)
-    tree = wpe.wpt(x)
+    tree = wpe.wpt(x, 8000)
     assert abs(wpe.band_energy(tree, 0, 4000) - tree.total_energy()) < 1e-9
 
 
 def test_band_energy_monotone_in_band_width():
     x = np.random.default_rng(3).normal(size=2048)
-    tree = wpe.wpt(x)
+    tree = wpe.wpt(x, 8000)
     inner = wpe.band_energy(tree, 500, 1500)
     outer = wpe.band_energy(tree, 250, 2500)
     assert 0 <= inner <= outer <= tree.total_energy() + 1e-12
 
 
 def test_band_energy_invalid_band():
-    tree = wpe.wpt(np.zeros(64))
+    tree = wpe.wpt(np.zeros(64), 8000)
     with pytest.raises(ValueError, match="band"):
         wpe.band_energy(tree, 2000, 100)
 
@@ -79,39 +79,39 @@ def test_band_energy_invalid_band():
 def test_frequency_ordering_tone_hits_its_leaf(leaf):
     width = 8000 / 2 / 64
     center = (leaf + 0.5) * width
-    tree = wpe.wpt(tone(center))
+    tree = wpe.wpt(tone(center), 8000)
     energies = [float(np.dot(v, v)) for v in tree.leaves]
     assert int(np.argmax(energies)) == leaf
 
 
 def test_segment_energy_silence_is_zero():
     audio = np.zeros(8000)
-    out = wpe.segment_energy(audio, [(0.1, 0.4)])
+    out = wpe.segment_energy(audio, [(0.1, 0.4)], 8000)
     assert out[0] <= 1e-12
 
 
 def test_segment_energy_additive_over_disjoint_segments():
     rng = np.random.default_rng(4)
     audio = rng.normal(size=16000)
-    parts = wpe.segment_energy(audio, [(0.0, 0.5), (0.5, 1.0)])
-    whole = wpe.segment_energy(audio, [(0.0, 1.0)])
+    parts = wpe.segment_energy(audio, [(0.0, 0.5), (0.5, 1.0)], 8000)
+    whole = wpe.segment_energy(audio, [(0.0, 1.0)], 8000)
     assert abs(parts.sum() - whole[0]) / whole[0] < 0.02
 
 
 def test_segment_energy_quadratic_in_amplitude():
     rng = np.random.default_rng(5)
     audio = rng.normal(size=8000)
-    e1 = wpe.segment_energy(audio, [(0.0, 1.0)])[0]
-    e2 = wpe.segment_energy(2 * audio, [(0.0, 1.0)])[0]
+    e1 = wpe.segment_energy(audio, [(0.0, 1.0)], 8000)[0]
+    e2 = wpe.segment_energy(2 * audio, [(0.0, 1.0)], 8000)[0]
     assert abs(e2 - 4 * e1) / (4 * e1) < 1e-9
 
 
 def test_segment_energy_short_segment_padded():
     audio = np.random.default_rng(6).normal(size=8000)
-    out = wpe.segment_energy(audio, [(0.0, 0.004)])  # 32 samples < 64
+    out = wpe.segment_energy(audio, [(0.0, 0.004)], 8000)  # 32 samples < 64
     assert np.isfinite(out[0]) and out[0] > 0
 
 
 def test_segment_energy_out_of_range():
     with pytest.raises(ValueError, match="outside"):
-        wpe.segment_energy(np.zeros(800), [(0.0, 1.0)])
+        wpe.segment_energy(np.zeros(800), [(0.0, 1.0)], 8000)
