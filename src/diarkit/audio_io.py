@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -139,8 +140,11 @@ def _read_wav(path: str) -> tuple[int, np.ndarray]:
     return int(rate), data
 
 
-def write_wav(path: str, samples: np.ndarray, rate: int):
-    wavfile.write(path, rate, samples.astype(np.float32))
+def wav_bytes(samples: np.ndarray, rate: int) -> bytes:
+    """``samples`` as a float32 WAV file."""
+    buf = io.BytesIO()
+    wavfile.write(buf, rate, samples.astype(np.float32))
+    return buf.getvalue()
 
 
 def resample(signal: np.ndarray, in_rate: int, out_rate: int) -> np.ndarray:
@@ -382,6 +386,8 @@ def read_segments(path: str) -> list[tuple]:
             raise ValueError(f"{path}: unparsable segment line {lineno}: {line!r}") from exc
         if not (math.isfinite(start) and math.isfinite(end)):
             raise ValueError(f"{path}: non-finite time at line {lineno}")
+        if start < 0:
+            raise ValueError(f"{path}: negative start time at line {lineno}")
         if end <= start:
             raise ValueError(f"{path}: end before start at line {lineno}")
         out.append((start, end, parts[2]) if len(parts) == 3 else (start, end))
@@ -389,11 +395,6 @@ def read_segments(path: str) -> list[tuple]:
     if kinds == {2, 3}:
         raise ValueError(f"{path}: some segment lines carry a label and some do not")
     return validate_segments(out) if 3 in kinds else sorted(out)
-
-
-def write_segments(path: str, segments: list[tuple[float, float]]):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{start:.3f} {end:.3f}\n" for start, end in segments)
 
 
 def sad_from_script(script: SessionScript) -> list[tuple[float, float]]:

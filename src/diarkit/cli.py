@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 runtime failure inside a module, 2 usage or
 validation error. The environment variable ``DIARKIT_SEED`` overrides the
-default seed. The ``diarize`` RTTM and meta JSONL, the ``score`` JSON and the
-``dominance`` CSV are written atomically (temp file + rename); ``features
---out``, ``--dae-model`` and ``synth`` write in place.
+default seed. Every file a subcommand writes is written atomically (temp
+file + rename), with the mode the umask gives a new file.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -80,12 +78,13 @@ def build_pipeline_config(args) -> Config:
 
 
 def _atomic_write(path: str, payload: str | bytes):
-    mode = "wb" if isinstance(payload, bytes) else "w"
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-diarkit-")
+    """The CLI's one file writer: a new temp file beside ``path``, mode 0666
+    less the umask, renamed over ``path``; a failed write leaves no file."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-diarkit-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, mode) as fh:
-            fh.write(payload)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload.encode() if isinstance(payload, str) else payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -168,11 +167,10 @@ def cmd_synth(args) -> int:
     )
     os.makedirs(args.out_dir, exist_ok=True)
     for c, chan in enumerate(audio.channels):
-        audio_io.write_wav(os.path.join(args.out_dir, f"ch{c}.wav"), chan, audio.sample_rate)
-    ref_path = os.path.join(args.out_dir, "ref.rttm")
-    scoring.rttm_write(reference, ref_path, file_id=args.file_id)
-    sad = audio_io.sad_from_script(script)
-    audio_io.write_segments(os.path.join(args.out_dir, "sad.txt"), sad)
+        _atomic_write(os.path.join(args.out_dir, f"ch{c}.wav"), audio_io.wav_bytes(chan, audio.sample_rate))
+    _atomic_write(os.path.join(args.out_dir, "ref.rttm"), scoring.rttm_format(reference, file_id=args.file_id))
+    sad = "".join(f"{start:.3f} {end:.3f}\n" for start, end in audio_io.sad_from_script(script))
+    _atomic_write(os.path.join(args.out_dir, "sad.txt"), sad)
     print(f"wrote {audio.channel_count} channels, ref.rttm, sad.txt to {args.out_dir}")
     return 0
 
@@ -199,15 +197,13 @@ def cmd_diarize(args) -> int:
         net = dae.load_network(args.dae_model)
     feats, net = extract_session_features(audio, sad_segments, cfg, net=net)
     if args.dae_model and net is not None and not os.path.exists(args.dae_model):
-        dae.save_network(net, args.dae_model)
+        _atomic_write(args.dae_model, dae.network_bytes(net))
 
     hyp, meta = diarize(feats, cfg)
     file_id = args.file_id or os.path.splitext(os.path.basename(args.out))[0]
     _atomic_write(args.out, scoring.rttm_format(hyp, file_id=file_id))
     meta_path = args.meta or (os.path.splitext(args.out)[0] + ".meta.jsonl")
-    meta_record = dict(meta)
-    meta_record["config"] = dataclasses.asdict(cfg)
-    _atomic_write(meta_path, json.dumps(meta_record) + "\n")
+    _atomic_write(meta_path, json.dumps(meta) + "\n")
     print(f"wrote {args.out} ({len(hyp.speakers)} speakers, stop: {meta['stop_reason']})")
     return 0
 
@@ -251,7 +247,7 @@ def cmd_dominance(args) -> int:
 def cmd_features(args) -> int:
     cfg, audio, sad_segments = _load_inputs(args)
     feats, _ = extract_session_features(audio, sad_segments, cfg)
-    features.write_features(args.out, feats, cfg.hop_sec)
+    _atomic_write(args.out, features.feature_bytes(feats, cfg.hop_sec))
     print(f"wrote {args.out}: {feats.n_frames} frames x {feats.dim} dims")
     return 0
 
@@ -274,12 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("diarize", help="run the full diarization pipeline")
-    p.add_argument("audio", nargs="+", help="one mono WAV per channel (or one multi-channel WAV)")
-    p.add_argument("--sad", default=None, help="speech activity segments file")
-    p.add_argument(
+    # The input flags ``diarize`` and ``features`` share.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("audio", nargs="+", help="one mono WAV per channel (or one multi-channel WAV)")
+    inputs.add_argument("--sad", default=None, help="speech activity segments file")
+    inputs.add_argument(
         "--no-sad", dest="mode", action="store_const", const="no-sad", help="model non-speech as an extra state"
     )
+    inputs.add_argument("--epochs", type=int, default=None, help="training epochs per autoencoder layer")
+    inputs.add_argument("--config", default=None, help="key=value config file")
+    inputs.add_argument("--seed", type=int, default=None)
+
+    p = sub.add_parser("diarize", parents=[inputs], help="run the full diarization pipeline")
     p.add_argument("--speakers", dest="n_speakers", type=int, help="number of speakers (side information)")
     p.add_argument("--min-dur", dest="min_duration_sec", type=float, help="minimum turn duration in seconds")
     p.add_argument("--initial-states", type=int)
@@ -287,10 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--components", dest="components_per_initial_segment", type=int, help="GMM components per initial segment"
     )
     p.add_argument("--features", dest="feature_kind", choices=["bnf", "mfcc91"])
-    p.add_argument("--epochs", type=int, default=None, help="training epochs per autoencoder layer")
     p.add_argument("--dae-model", default=None, help="reuse (or store) a trained network here")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--file-id", default=None)
     p.add_argument("--meta", default=None, help="metadata JSON-lines path")
     p.add_argument("--out", required=True, help="output RTTM path")
@@ -311,14 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_dominance)
 
-    p = sub.add_parser("features", help="dump staged features as flat binary")
-    p.add_argument("audio", nargs="+")
-    p.add_argument("--sad", default=None)
-    p.add_argument("--no-sad", dest="mode", action="store_const", const="no-sad")
+    p = sub.add_parser("features", parents=[inputs], help="dump staged features as flat binary")
     p.add_argument("--stage", dest="feature_kind", choices=["bnf", "mfcc91"])
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_features)
 

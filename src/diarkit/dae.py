@@ -194,13 +194,12 @@ def bottleneck(net: Network, f: FeatureMatrix) -> FeatureMatrix:
     return replace(f, data=net.encode(f.data))
 
 
-def save_network(net: Network, path: str):
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", MODEL_MAGIC, MODEL_VERSION, len(net.layer_dims)))
-        fh.write(struct.pack(f"<{len(net.layer_dims)}I", *net.layer_dims))
-        for w, b in zip(net.weights, net.biases):
-            fh.write(w.astype("<f8").tobytes(order="C"))
-            fh.write(b.astype("<f8").tobytes(order="C"))
+def network_bytes(net: Network) -> bytes:
+    """The model file: magic, version, layer count and layer sizes, then each
+    layer's weights and biases as row-major little-endian float64."""
+    dims = net.layer_dims
+    layers = [a.astype("<f8").tobytes(order="C") for pair in zip(net.weights, net.biases) for a in pair]
+    return struct.pack(f"<4sII{len(dims)}I", MODEL_MAGIC, MODEL_VERSION, len(dims), *dims) + b"".join(layers)
 
 
 def load_network(path: str) -> Network:
@@ -211,10 +210,13 @@ def load_network(path: str) -> Network:
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
         dims = list(struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims)))
-        weights, biases = [], []
-        for i in range(n_dims - 1):
-            w = np.frombuffer(fh.read(8 * dims[i] * dims[i + 1]), dtype="<f8").reshape(dims[i], dims[i + 1])
-            b = np.frombuffer(fh.read(8 * dims[i + 1]), dtype="<f8")
-            weights.append(w.copy())
-            biases.append(b.copy())
+        body = fh.read()
+    expected = 8 * sum(n_in * n_out + n_out for n_in, n_out in zip(dims, dims[1:]))
+    if len(body) != expected:
+        raise ValueError(f"{path}: {len(body)} bytes of weights, the header declares {expected}")
+    weights, biases, at = [], [], 0
+    for n_in, n_out in zip(dims, dims[1:]):
+        weights.append(np.frombuffer(body, "<f8", count=n_in * n_out, offset=at).reshape(n_in, n_out).copy())
+        biases.append(np.frombuffer(body, "<f8", count=n_out, offset=at + 8 * n_in * n_out).copy())
+        at += 8 * (n_in * n_out + n_out)
     return Network(weights=weights, biases=biases)

@@ -12,7 +12,7 @@ their own. Merging stops at the known speaker count or when no pair gains.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -335,5 +335,6 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
         "skipped_merge_pairs": skipped_merge_pairs,
         "dropped_states": dropped_states,
         "no_sad_mode": X.speech_mask is not None,
+        "config": asdict(cfg),
     }
     return hyp, meta

@@ -143,17 +143,15 @@ def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple], cfg: Config) 
     return mask
 
 
-def write_features(path: str, f: FeatureMatrix, hop_sec: float):
+def feature_bytes(f: FeatureMatrix, hop_sec: float) -> bytes:
     """Flat binary dump: 16-byte header (magic, frames, dim, hop in
     microseconds), then row-major little-endian float32."""
     header = struct.pack("<4sIII", FEATURE_MAGIC, f.n_frames, f.dim, int(round(hop_sec * 1e6)))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(f.data.astype("<f4").tobytes(order="C"))
+    return header + f.data.astype("<f4").tobytes(order="C")
 
 
 def read_features(path: str) -> tuple[FeatureMatrix, float]:
-    """Inverse of ``write_features``: the matrix and the hop in seconds."""
+    """Inverse of ``feature_bytes``: the matrix and the hop in seconds."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16:
@@ -161,5 +159,8 @@ def read_features(path: str) -> tuple[FeatureMatrix, float]:
         magic, frames, dim, hop_us = struct.unpack("<4sIII", header)
         if magic != FEATURE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        data = np.frombuffer(fh.read(frames * dim * 4), dtype="<f4").reshape(frames, dim)
+        body = fh.read()
+    if len(body) != 4 * frames * dim:
+        raise ValueError(f"{path}: {len(body)} bytes of data, the header declares {4 * frames * dim}")
+    data = np.frombuffer(body, dtype="<f4").reshape(frames, dim)
     return FeatureMatrix(data.astype(np.float64)), hop_us / 1e6

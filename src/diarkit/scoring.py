@@ -146,11 +146,6 @@ def rttm_format(hyp, file_id: str) -> str:
     return "".join(lines)
 
 
-def rttm_write(hyp, path: str, file_id: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(rttm_format(hyp, file_id=file_id))
-
-
 def rttm_read(path: str) -> list[tuple[float, float, str]]:
     segs = []
     with open(path, encoding="utf-8") as fh:
@@ -167,8 +162,8 @@ def rttm_read(path: str) -> list[tuple[float, float, str]]:
                 raise ValueError(f"{path}: line {lineno}: bad time fields") from exc
             if not (math.isfinite(tbeg) and math.isfinite(tbeg + tdur)):
                 raise ValueError(f"{path}: line {lineno}: non-finite time fields")
-            if tdur < 0:
-                raise ValueError(f"{path}: line {lineno}: negative duration")
+            if tbeg < 0 or tdur < 0:
+                raise ValueError(f"{path}: line {lineno}: negative start time or duration")
             segs.append((tbeg, tbeg + tdur, fields[7]))
     segs.sort(key=lambda s: s[0])
     return segs

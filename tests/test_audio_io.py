@@ -216,12 +216,19 @@ def test_read_segments_rejects_non_finite_times(tmp_path, line):
         audio_io.read_segments(str(path))
 
 
+def test_read_segments_rejects_negative_start(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("0.0 1.0\n-3.0 2.0\n")
+    with pytest.raises(ValueError, match=r"bad\.txt: negative start time at line 2"):
+        audio_io.read_segments(str(path))
+
+
 def test_read_segments_rttm_round_trip(tmp_path):
     from diarkit import scoring
 
     segs = [(0.5, 2.5, "spk0"), (3.0, 4.25, "spk1")]
     path = tmp_path / "ref.rttm"
-    scoring.rttm_write(segs, str(path), file_id="s1")
+    path.write_text(scoring.rttm_format(segs, file_id="s1"))
     assert audio_io.read_segments(str(path)) == segs
 
 

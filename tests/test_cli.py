@@ -1,6 +1,11 @@
 import dataclasses
 import json
 import os
+import resource
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,8 +157,8 @@ def test_score_identical_files(synth_dir, capsys):
 
 def test_score_hand_worked_example(tmp_path, capsys):
     ref, hyp = str(tmp_path / "r.rttm"), str(tmp_path / "h.rttm")
-    scoring.rttm_write([(0.0, 10.0, "A"), (10.0, 20.0, "B")], ref, "r")
-    scoring.rttm_write([(0.0, 12.0, "spk1"), (12.0, 20.0, "spk2")], hyp, "h")
+    Path(ref).write_text(scoring.rttm_format([(0.0, 10.0, "A"), (10.0, 20.0, "B")], "r"))
+    Path(hyp).write_text(scoring.rttm_format([(0.0, 12.0, "spk1"), (12.0, 20.0, "spk2")], "h"))
     json_out = str(tmp_path / "der.json")
     rc = cli.main(["score", "--ref", ref, "--hyp", hyp, "--json", json_out])
     assert rc == 0
@@ -170,10 +175,20 @@ def test_score_missing_file_exits_2(tmp_path):
 @pytest.mark.parametrize("tbeg, tdur", [("nan", "1.000"), ("1.000", "inf")])
 def test_score_non_finite_hypothesis_time_exits_1(tmp_path, capsys, tbeg, tdur):
     ref, hyp = str(tmp_path / "r.rttm"), tmp_path / "h.rttm"
-    scoring.rttm_write([(0.0, 10.0, "A"), (10.0, 20.0, "B")], ref, "r")
+    Path(ref).write_text(scoring.rttm_format([(0.0, 10.0, "A"), (10.0, 20.0, "B")], "r"))
     hyp.write_text(f"SPEAKER h 1 0.000 10.000 <NA> <NA> a <NA> <NA>\nSPEAKER h 1 {tbeg} {tdur} <NA> <NA> b <NA> <NA>\n")
     assert cli.main(["score", "--ref", ref, "--hyp", str(hyp)]) == 1
     assert "h.rttm: line 2: non-finite time fields" in capsys.readouterr().err
+
+
+def test_score_negative_hypothesis_start_exits_1(tmp_path, capsys):
+    ref, hyp = str(tmp_path / "r.rttm"), tmp_path / "h.rttm"
+    Path(ref).write_text(scoring.rttm_format([(0.0, 10.0, "A"), (10.0, 20.0, "B")], "r"))
+    hyp.write_text("SPEAKER h 1 -5.000 10.000 <NA> <NA> a <NA> <NA>\n")
+    json_out = tmp_path / "der.json"
+    assert cli.main(["score", "--ref", ref, "--hyp", str(hyp), "--json", str(json_out)]) == 1
+    assert "h.rttm: line 1: negative start time" in capsys.readouterr().err
+    assert not json_out.exists()
 
 
 def test_dominance_alternating_fixture(tmp_path, capsys):
@@ -186,9 +201,9 @@ def test_dominance_alternating_fixture(tmp_path, capsys):
     )
     audio, ref = audio_io.synth_session(script, 1, [0.0], [1.0], 25.0, seed=5, rate=rate)
     wav = str(tmp_path / "ch0.wav")
-    audio_io.write_wav(wav, audio.channels[0], rate)
+    Path(wav).write_bytes(audio_io.wav_bytes(audio.channels[0], rate))
     hyp_path = str(tmp_path / "ref.rttm")
-    scoring.rttm_write(ref, hyp_path, "ref")
+    Path(hyp_path).write_text(scoring.rttm_format(ref, "ref"))
     csv_path = str(tmp_path / "dom.csv")
     rc = cli.main(["dominance", "--hyp", hyp_path, "--audio", wav, "--out", csv_path])
     assert rc == 0
@@ -206,7 +221,7 @@ def test_dominance_clips_rttm_rounding_overlaps(tmp_path):
     # RTTM's 3 decimals make b start 1 ms before a ends; that millisecond is
     # a's, so b speaks 0.999 s and the two speak 3 s in total.
     wav = str(tmp_path / "ch0.wav")
-    audio_io.write_wav(wav, np.random.default_rng(0).normal(0.0, 0.1, 4 * 8000), 8000)
+    Path(wav).write_bytes(audio_io.wav_bytes(np.random.default_rng(0).normal(0.0, 0.1, 4 * 8000), 8000))
     hyp_path = tmp_path / "hyp.rttm"
     hyp_path.write_text(
         "SPEAKER s 1 0.000 1.001 <NA> <NA> a <NA> <NA>\n"
@@ -437,7 +452,7 @@ def test_dominance_bad_window_or_rate_exits_2(tmp_path, capsys, flag, value):
 def test_dae_model_must_fit_the_config(synth_dir, tmp_path, capsys, dims):
     # Two channels of 13 MFCCs spliced +-5 frames: the config needs 286 -> 8.
     model = str(tmp_path / "net.sdae")
-    dae.save_network(random_network(dims[0], 26, dims[1], seed=0), model)
+    Path(model).write_bytes(dae.network_bytes(random_network(dims[0], 26, dims[1], seed=0)))
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("bottleneck_dim = 8\n")
     out = tmp_path / "hyp.rttm"
@@ -516,7 +531,7 @@ def test_non_finite_audio_exits_1_naming_the_file(tmp_path, capsys, command):
     samples = np.random.default_rng(0).normal(0.0, 0.1, 16000).astype(np.float32)
     samples[4000] = np.nan
     wav = str(tmp_path / "nan.wav")
-    audio_io.write_wav(wav, samples, 8000)
+    Path(wav).write_bytes(audio_io.wav_bytes(samples, 8000))
     sad = tmp_path / "sad.txt"
     sad.write_text("0.0 2.0\n")
     hyp = tmp_path / "hyp.rttm"
@@ -530,3 +545,60 @@ def test_non_finite_audio_exits_1_naming_the_file(tmp_path, capsys, command):
     assert cli.main(argv) == 1
     assert f"non-finite samples in {wav!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ------------------------------------------------------------ write policy
+
+
+def test_every_output_gets_the_umask_mode(tmp_path):
+    # Each file a subcommand writes is created the way open(path, "w")
+    # creates it: mode 0666 less the umask.
+    script = tmp_path / "session.json"
+    script.write_text(audio_io.demo_script(2, 20.0, seed=5).to_json())
+    out = tmp_path / "out"
+    wavs = [str(out / "synth" / f"ch{c}.wav") for c in range(2)]
+    sad, ref, hyp = str(out / "synth" / "sad.txt"), str(out / "synth" / "ref.rttm"), str(out / "hyp.rttm")
+    runs = [
+        ["synth", str(script), str(out / "synth"), "--channels", "2", "--seed", "3"],
+        ["diarize", *wavs, "--sad", sad, "--speakers", "2", "--epochs", "1", "--dae-model", str(out / "net.bin"),
+         "--out", hyp],
+        ["score", "--ref", ref, "--hyp", hyp, "--json", str(out / "der.json")],
+        ["dominance", "--hyp", hyp, "--audio", wavs[0], "--out", str(out / "dom.csv")],
+        ["features", *wavs, "--sad", sad, "--stage", "mfcc91", "--out", str(out / "f.bin")],
+    ]  # fmt: skip
+    old_umask = os.umask(0o022)
+    try:
+        for argv in runs:
+            assert cli.main(argv) == 0, argv[0]
+    finally:
+        os.umask(old_umask)
+    modes = {str(p.relative_to(out)): stat.S_IMODE(p.stat().st_mode) for p in out.rglob("*") if p.is_file()}
+    assert sorted(modes) == [
+        "der.json", "dom.csv", "f.bin", "hyp.meta.jsonl", "hyp.rttm", "net.bin",
+        "synth/ch0.wav", "synth/ch1.wav", "synth/ref.rttm", "synth/sad.txt",
+    ]  # fmt: skip
+    assert set(modes.values()) == {0o644}, modes
+
+
+def test_failed_model_save_leaves_no_file(synth_dir, tmp_path):
+    # A model write cut off by the file-size limit leaves nothing behind, so
+    # the next run trains and stores the model instead of failing to load a
+    # truncated one.
+    model = tmp_path / "m.bin"
+    wavs = [os.path.join(synth_dir, f"ch{c}.wav") for c in range(2)]
+    sad = os.path.join(synth_dir, "sad.txt")
+    argv = [sys.executable, "-m", "diarkit.cli", "diarize", *wavs, "--sad", sad, "--speakers", "2", "--epochs", "1"]
+    argv += ["--dae-model", str(model), "--out", str(tmp_path / "hyp.rttm")]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (64 * 1024, 64 * 1024))
+
+    failed = subprocess.run(argv, env=env, preexec_fn=limit_file_size, capture_output=True, text=True)
+    assert failed.returncode == 1, failed.stderr
+    assert "File too large" in failed.stderr
+    assert os.listdir(tmp_path) == []
+    rerun = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert rerun.returncode == 0, rerun.stderr
+    assert model.stat().st_size > 64 * 1024

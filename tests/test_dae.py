@@ -8,7 +8,7 @@ import pytest
 
 from diarkit import dae
 from diarkit.config import Config
-from diarkit.dae import bottleneck, corrupt, load_network, pretrain_stack, save_network
+from diarkit.dae import bottleneck, corrupt, load_network, network_bytes, pretrain_stack
 from diarkit.features import FeatureMatrix
 
 
@@ -231,7 +231,7 @@ def test_bottleneck_dim_mismatch():
 def test_network_save_load_round_trip(tmp_path):
     net = random_network(9, 5, 3, seed=6)
     path = tmp_path / "model.sdae"
-    save_network(net, str(path))
+    path.write_bytes(network_bytes(net))
     back = load_network(str(path))
     assert back.layer_dims == net.layer_dims
     for w1, w2 in zip(net.weights, back.weights):
@@ -242,7 +242,7 @@ def test_network_save_load_round_trip(tmp_path):
 
 
 def write_model(path, dims, seed=0):
-    """A model file in the ``save_network`` format with any list of layer
+    """A model file in the ``network_bytes`` format with any list of layer
     sizes, including ones ``Network`` refuses."""
     rng = np.random.default_rng(seed)
     with open(path, "wb") as fh:
@@ -262,6 +262,17 @@ def test_load_network_refuses_other_layouts(tmp_path, dims, message):
     path = tmp_path / "model.sdae"
     write_model(path, dims)
     with pytest.raises(ValueError, match=message):
+        load_network(str(path))
+
+
+@pytest.mark.parametrize("cut", [-8, -1, 8], ids=["short-layer", "short-byte", "padded"])
+def test_load_network_refuses_wrong_length(tmp_path, cut):
+    # A model file cut off by a failed write, or one with bytes appended,
+    # fails naming the file instead of deep inside numpy.
+    data = network_bytes(random_network(9, 5, 3, seed=6))
+    path = tmp_path / "model.sdae"
+    path.write_bytes(data[:cut] if cut < 0 else data + b"\x00" * cut)
+    with pytest.raises(ValueError, match=r"model\.sdae: \d+ bytes of weights, the header declares"):
         load_network(str(path))
 
 

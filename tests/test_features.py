@@ -248,11 +248,20 @@ def test_oracle_sad_empty_selection_refused():
 def test_feature_dump_round_trip(tmp_path):
     f = FeatureMatrix(np.random.default_rng(15).normal(size=(37, 21)).astype(np.float32).astype(np.float64))
     path = tmp_path / "f.bin"
-    features.write_features(str(path), f, 0.010)
+    path.write_bytes(features.feature_bytes(f, 0.010))
     back, hop_sec = features.read_features(str(path))
     assert back.data.shape == (37, 21)
     assert abs(hop_sec - 0.010) < 1e-9
     np.testing.assert_allclose(back.data, f.data, atol=1e-6)
+
+
+@pytest.mark.parametrize("cut", [-4, -3, 4], ids=["short-value", "short-byte", "padded"])
+def test_read_features_refuses_wrong_length(tmp_path, cut):
+    data = features.feature_bytes(FeatureMatrix(np.ones((5, 3))), 0.010)
+    path = tmp_path / "f.bin"
+    path.write_bytes(data[:cut] if cut < 0 else data + b"\x00" * cut)
+    with pytest.raises(ValueError, match=r"f\.bin: \d+ bytes of data, the header declares 60"):
+        features.read_features(str(path))
 
 
 def test_pipeline_deterministic():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diarkit.audio_io import demo_script
-from diarkit.scoring import rttm_read, rttm_write, score_der
+from diarkit.scoring import rttm_format, rttm_read, score_der
 from diarkit.segments import DiarizationHypothesis
 
 
@@ -141,7 +141,7 @@ def test_ns_segments_count_as_silence():
 def test_rttm_round_trip(tmp_path):
     hyp = DiarizationHypothesis([(0.5, 2.5, "spk0"), (2.5, 7.25, "spk1"), (8.0, 9.125, "spk0")])
     path = tmp_path / "h.rttm"
-    rttm_write(hyp, str(path), file_id="sess")
+    path.write_text(rttm_format(hyp, file_id="sess"))
     back = rttm_read(str(path))
     assert back == [(0.5, 2.5, "spk0"), (2.5, 7.25, "spk1"), (8.0, 9.125, "spk0")]
 
@@ -152,7 +152,7 @@ def test_rttm_adjacent_segments_do_not_overlap(tmp_path):
     bounds = [k * 0.01 + 0.0125 - 0.005 for k in range(1, 3001)]
     segs = [(a, b, f"spk{i % 2}") for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
     path = tmp_path / "adjacent.rttm"
-    rttm_write(segs, str(path), "sess")
+    path.write_text(rttm_format(segs, "sess"))
     back = rttm_read(str(path))
     assert len(back) == len(segs)
     overlaps = [prev[1] - nxt[0] for prev, nxt in zip(back, back[1:])]
@@ -176,6 +176,13 @@ def test_rttm_negative_duration(tmp_path):
     path = tmp_path / "neg.rttm"
     path.write_text("SPEAKER s1 1 5.000 -2.000 <NA> <NA> spk0 <NA> <NA>\n")
     with pytest.raises(ValueError, match="negative"):
+        rttm_read(str(path))
+
+
+def test_rttm_negative_start(tmp_path):
+    path = tmp_path / "neg.rttm"
+    path.write_text("SPEAKER s1 1 0.000 1.000 <NA> <NA> a <NA> <NA>\nSPEAKER s1 1 -5.000 10.000 <NA> <NA> b <NA> <NA>\n")
+    with pytest.raises(ValueError, match=r"neg\.rttm: line 2: negative start time"):
         rttm_read(str(path))
 
 
@@ -208,7 +215,8 @@ def test_rttm_round_trip_random_times(intervals):
 
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "r.rttm")
-        rttm_write(segs, path, "sess")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(rttm_format(segs, "sess"))
         back = rttm_read(path)
     assert len(back) == len(segs)
     for (s1, e1, _), (s2, e2, _) in zip(segs, back):
