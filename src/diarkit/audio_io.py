@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.io import wavfile
 
-from .segments import DiarizationHypothesis, validate_segments
+from .segments import DiarizationHypothesis
 
 HOP_SEC = 0.010
 
@@ -354,24 +354,21 @@ def demo_script(
     return SessionScript(speakers=voices, events=events, total_duration_sec=duration_sec)
 
 
-def read_segments(path: str) -> list[tuple]:
-    """Parse a segments file: ``start_sec end_sec [label]`` per line,
-    ``#`` comments; RTTM files are detected and parsed as labeled segments.
-
-    Returns sorted ``(start, end)`` tuples, or, for RTTM and for files whose
-    every line carries a label, ``(start, end, label)`` tuples checked and
-    clipped by ``segments.validate_segments``.
+def read_segments(path: str) -> list[tuple[float, float]]:
+    """Speech-activity intervals, sorted: ``start_sec end_sec [label]`` per
+    line with ``#`` comments, or an RTTM file (detected, and read by
+    ``scoring.rttm_read``). Labels are ignored, and intervals may overlap:
+    they only mark frames as speech.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    body = [ln.strip() for ln in lines]
-    if any(ln.startswith("SPEAKER") for ln in body if ln):
+        body = [ln.strip() for ln in fh]
+    if any(ln.startswith("SPEAKER") for ln in body):
         # Imported here, not at the top: scoring loads scipy.optimize, which
         # would make every import of this module several times slower, and
         # synthesis and WAV I/O never need it.
         from . import scoring
 
-        return validate_segments(scoring.rttm_read(path))
+        return [(start, end) for start, end, _ in scoring.rttm_read(path).segments]
 
     out = []
     for lineno, line in enumerate(body, start=1):
@@ -390,11 +387,8 @@ def read_segments(path: str) -> list[tuple]:
             raise ValueError(f"{path}: negative start time at line {lineno}")
         if end <= start:
             raise ValueError(f"{path}: end before start at line {lineno}")
-        out.append((start, end, parts[2]) if len(parts) == 3 else (start, end))
-    kinds = {len(s) for s in out}
-    if kinds == {2, 3}:
-        raise ValueError(f"{path}: some segment lines carry a label and some do not")
-    return validate_segments(out) if 3 in kinds else sorted(out)
+        out.append((start, end))
+    return sorted(out)
 
 
 def sad_from_script(script: SessionScript) -> list[tuple[float, float]]:

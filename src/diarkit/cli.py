@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -21,7 +22,6 @@ from . import audio_io, dae, dominance, features, scoring, wpe
 from .config import Config
 from .diarizer import diarize
 from .features import FeatureMatrix
-from .segments import DiarizationHypothesis
 
 
 class UsageError(Exception):
@@ -77,6 +77,13 @@ def build_pipeline_config(args) -> Config:
         raise UsageError(str(exc)) from exc
 
 
+def _check_file_id(file_id: str):
+    """An RTTM field is one whitespace-free token, or the file cannot be read
+    back."""
+    if file_id.split() != [file_id]:
+        raise UsageError(f"--file-id must be non-empty and hold no whitespace, got {file_id!r}")
+
+
 def _atomic_write(path: str, payload: str | bytes):
     """The CLI's one file writer: a new temp file beside ``path``, mode 0666
     less the umask, renamed over ``path``; a failed write leaves no file."""
@@ -94,7 +101,7 @@ def _atomic_write(path: str, payload: str | bytes):
 
 def extract_session_features(
     audio: audio_io.MultiStreamAudio,
-    sad_segments: list[tuple] | None,
+    sad_segments: list[tuple[float, float]] | None,
     cfg: Config,
     net: dae.Network | None = None,
 ) -> tuple[FeatureMatrix, dae.Network | None]:
@@ -156,9 +163,12 @@ def cmd_synth(args) -> int:
         raise UsageError(f"--rate must be >= 1, got {args.rate}")
     if not math.isfinite(args.snr_db):
         raise UsageError(f"--snr-db must be finite, got {args.snr_db}")
+    _check_file_id(args.file_id)
+    seed = args.seed if args.seed is not None else _env_seed(0)
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     with open(args.script, encoding="utf-8") as fh:
         script = audio_io.SessionScript.from_json(fh.read())
-    seed = args.seed if args.seed is not None else _env_seed(0)
     channels = args.channels
     delays = [args.max_delay_ms * c / max(1, channels - 1) for c in range(channels)]
     gains = [1.0 - 0.5 * c / max(1, channels - 1) for c in range(channels)]
@@ -175,7 +185,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_inputs(args) -> tuple[Config, audio_io.MultiStreamAudio, list[tuple] | None]:
+def _load_inputs(args) -> tuple[Config, audio_io.MultiStreamAudio, list[tuple[float, float]] | None]:
     """Input step of ``diarize`` and ``features``: the config, the session
     audio at the configured rate, and the SAD segments if given."""
     named = [("audio", path) for path in args.audio] + [("SAD", args.sad), ("config", args.config)]
@@ -191,6 +201,8 @@ def _load_inputs(args) -> tuple[Config, audio_io.MultiStreamAudio, list[tuple] |
 
 
 def cmd_diarize(args) -> int:
+    if args.file_id is not None:
+        _check_file_id(args.file_id)
     cfg, audio, sad_segments = _load_inputs(args)
     net = None
     if args.dae_model and os.path.exists(args.dae_model):
@@ -200,7 +212,7 @@ def cmd_diarize(args) -> int:
         _atomic_write(args.dae_model, dae.network_bytes(net))
 
     hyp, meta = diarize(feats, cfg)
-    file_id = args.file_id or os.path.splitext(os.path.basename(args.out))[0]
+    file_id = args.file_id or re.sub(r"\s+", "_", os.path.splitext(os.path.basename(args.out))[0])
     _atomic_write(args.out, scoring.rttm_format(hyp, file_id=file_id))
     meta_path = args.meta or (os.path.splitext(args.out)[0] + ".meta.jsonl")
     _atomic_write(meta_path, json.dumps(meta) + "\n")
@@ -233,7 +245,7 @@ def cmd_dominance(args) -> int:
     f_lo, f_hi = wpe.BAND_HZ
     if args.rate < 2 * f_hi:
         raise UsageError(f"--rate must be >= {2 * f_hi:g} to hold the {f_lo:g}-{f_hi:g} Hz band, got {args.rate}")
-    hyp = DiarizationHypothesis(scoring.rttm_read(args.hyp))
+    hyp = scoring.rttm_read(args.hyp)
     audio = audio_io.load_session([args.audio], target_rate=args.rate)
     energies = wpe.segment_energy(audio.channels[0], hyp.segments, audio.sample_rate)
     report = dominance.dominance_report(

@@ -46,7 +46,7 @@ class Config:
         for key, low in (
             ("sample_rate", 1), ("n_mels", 1), ("splice_left", 0), ("splice_right", 0), ("bottleneck_dim", 1),
             ("epochs", 1), ("batch_size", 1), ("n_speakers", 2), ("initial_states", 1),
-            ("components_per_initial_segment", 1), ("em_iters", 0), ("max_outer_iters", 0),
+            ("components_per_initial_segment", 1), ("em_iters", 0), ("max_outer_iters", 0), ("seed", 0),
         ):  # fmt: skip
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")

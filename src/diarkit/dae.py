@@ -204,19 +204,24 @@ def network_bytes(net: Network) -> bytes:
 
 def load_network(path: str) -> Network:
     with open(path, "rb") as fh:
-        magic, version, n_dims = struct.unpack("<4sII", fh.read(12))
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a network model file")
-        if version != MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported model version {version}")
-        dims = list(struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims)))
-        body = fh.read()
+        data = fh.read()
+    if len(data) < 12:
+        raise ValueError(f"{path}: {len(data)} bytes, shorter than the 12-byte model header")
+    magic, version, n_dims = struct.unpack_from("<4sII", data)
+    if magic != MODEL_MAGIC:
+        raise ValueError(f"{path}: not a network model file")
+    if version != MODEL_VERSION:
+        raise ValueError(f"{path}: unsupported model version {version}")
+    at = 12 + 4 * n_dims
+    if len(data) < at:
+        raise ValueError(f"{path}: {len(data)} bytes, shorter than the header and its {n_dims} layer sizes")
+    dims = struct.unpack_from(f"<{n_dims}I", data, 12)
     expected = 8 * sum(n_in * n_out + n_out for n_in, n_out in zip(dims, dims[1:]))
-    if len(body) != expected:
-        raise ValueError(f"{path}: {len(body)} bytes of weights, the header declares {expected}")
-    weights, biases, at = [], [], 0
+    if len(data) - at != expected:
+        raise ValueError(f"{path}: {len(data) - at} bytes of weights, the header declares {expected}")
+    weights, biases = [], []
     for n_in, n_out in zip(dims, dims[1:]):
-        weights.append(np.frombuffer(body, "<f8", count=n_in * n_out, offset=at).reshape(n_in, n_out).copy())
-        biases.append(np.frombuffer(body, "<f8", count=n_out, offset=at + 8 * n_in * n_out).copy())
+        weights.append(np.frombuffer(data, "<f8", count=n_in * n_out, offset=at).reshape(n_in, n_out).copy())
+        biases.append(np.frombuffer(data, "<f8", count=n_out, offset=at + 8 * n_in * n_out).copy())
         at += 8 * (n_in * n_out + n_out)
     return Network(weights=weights, biases=biases)

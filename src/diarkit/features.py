@@ -133,12 +133,11 @@ def splice(f: FeatureMatrix, left: int, right: int) -> FeatureMatrix:
     return replace(f, data=stacked)
 
 
-def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple], cfg: Config) -> np.ndarray:
+def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple[float, float]], cfg: Config) -> np.ndarray:
     """A frame is speech when its center time lies inside any segment."""
     centers = np.arange(f.n_frames) * cfg.hop_sec + cfg.window_sec / 2.0
     mask = np.zeros(f.n_frames, dtype=bool)
-    for seg in sad_segments:
-        start, end = seg[0], seg[1]
+    for start, end in sad_segments:
         mask |= (centers >= start) & (centers <= end)
     return mask
 

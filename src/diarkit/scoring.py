@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .segments import NON_SPEECH_LABEL, DiarizationHypothesis, validate_segments
+from .segments import NON_SPEECH_LABEL, DiarizationHypothesis
 
 
 @dataclass
@@ -30,18 +30,8 @@ class DerBreakdown:
     def der(self) -> float:
         return (self.fa_sec + self.miss_sec + self.err_sec) / self.total_sec
 
-    def as_dict(self) -> dict:
-        return {
-            "fa_sec": self.fa_sec,
-            "miss_sec": self.miss_sec,
-            "err_sec": self.err_sec,
-            "total_sec": self.total_sec,
-            "der": self.der,
-            "mapping": self.mapping,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        return json.dumps({**asdict(self), "der": self.der}, indent=2, sort_keys=True)
 
     def report(self) -> str:
         return (
@@ -54,33 +44,32 @@ class DerBreakdown:
         )
 
 
-def _speech_segments(obj) -> list[tuple[float, float, str]]:
-    segs = obj.segments if isinstance(obj, DiarizationHypothesis) else obj
-    return [seg for seg in validate_segments(segs) if seg[2] != NON_SPEECH_LABEL]
-
-
-def _labels_at(segs, points):
-    """Label of each atomic interval midpoint, or None."""
-    starts = np.array([s[0] for s in segs])
-    ends = np.array([s[1] for s in segs])
-    mids = (points[:-1] + points[1:]) / 2.0
+def _speaker_codes(segs, mids):
+    """Index into the sorted speaker names of the segment holding each
+    midpoint, or -1 where none does; and those names."""
+    names = sorted({lab for _, _, lab in segs})
+    starts = np.array([s for s, _, _ in segs])
+    ends = np.array([e for _, e, _ in segs])
+    seg_codes = np.searchsorted(names, [lab for _, _, lab in segs])
     idx = np.searchsorted(starts, mids, side="right") - 1
-    out = np.full(len(mids), -1, dtype=np.int64)
-    valid = idx >= 0
-    valid[valid] &= mids[valid] < ends[idx[valid]]
-    out[valid] = idx[valid]
-    return out
+    inside = idx >= 0
+    inside[inside] &= mids[inside] < ends[idx[inside]]
+    codes = np.full(len(mids), -1)
+    codes[inside] = seg_codes[idx[inside]]
+    return codes, names
 
 
-def score_der(reference, hypothesis, collar_sec: float = 0.0) -> DerBreakdown:
+def score_der(
+    reference: DiarizationHypothesis, hypothesis: DiarizationHypothesis, collar_sec: float = 0.0
+) -> DerBreakdown:
     """Cut the timeline at every boundary, attribute each atomic interval,
     and pick the hypothesis-label mapping that maximizes credited time.
 
     ``collar_sec`` excludes that much on both sides of every reference
     boundary from all components, including the total.
     """
-    ref = _speech_segments(reference)
-    hyp = _speech_segments(hypothesis)
+    ref = [seg for seg in reference.segments if seg[2] != NON_SPEECH_LABEL]
+    hyp = [seg for seg in hypothesis.segments if seg[2] != NON_SPEECH_LABEL]
     if not ref:
         raise ValueError("empty reference speech: DER undefined")
 
@@ -99,21 +88,17 @@ def score_der(reference, hypothesis, collar_sec: float = 0.0) -> DerBreakdown:
     for lo, hi in excluded:
         scored &= ~((mids > lo) & (mids < hi))
 
-    ref_idx = _labels_at(ref, points)
-    hyp_idx = _labels_at(hyp, points)
-    ref_names = sorted({s[2] for s in ref})
-    hyp_names = sorted({s[2] for s in hyp})
-    ref_of = {i: ref_names.index(s[2]) for i, s in enumerate(ref)}
-    hyp_of = {i: hyp_names.index(s[2]) for i, s in enumerate(hyp)}
+    ref_code, ref_names = _speaker_codes(ref, mids)
+    hyp_code, hyp_names = _speaker_codes(hyp, mids)
 
-    total = float(durs[scored & (ref_idx >= 0)].sum())
-    fa = float(durs[scored & (ref_idx < 0) & (hyp_idx >= 0)].sum())
-    miss = float(durs[scored & (ref_idx >= 0) & (hyp_idx < 0)].sum())
+    total = float(durs[scored & (ref_code >= 0)].sum())
+    fa = float(durs[scored & (ref_code < 0) & (hyp_code >= 0)].sum())
+    miss = float(durs[scored & (ref_code >= 0) & (hyp_code < 0)].sum())
 
+    # np.add.at accumulates each cell in interval order.
     overlap = np.zeros((len(ref_names), len(hyp_names)))
-    both = scored & (ref_idx >= 0) & (hyp_idx >= 0)
-    for i in np.where(both)[0]:
-        overlap[ref_of[ref_idx[i]], hyp_of[hyp_idx[i]]] += durs[i]
+    both = scored & (ref_code >= 0) & (hyp_code >= 0)
+    np.add.at(overlap, (ref_code[both], hyp_code[both]), durs[both])
 
     # Speaker error is the overlap the mapping leaves uncredited. Summing the
     # unmatched cells (rather than subtracting the credited time from the
@@ -130,15 +115,14 @@ def score_der(reference, hypothesis, collar_sec: float = 0.0) -> DerBreakdown:
     return DerBreakdown(fa_sec=fa, miss_sec=miss, err_sec=err, total_sec=total, mapping=mapping)
 
 
-def rttm_format(hyp, file_id: str) -> str:
+def rttm_format(hyp: DiarizationHypothesis, file_id: str) -> str:
     """SPEAKER records, one per segment; non-speech segments are omitted.
 
     Start and end are rounded to the millisecond before the duration is
     taken, so a segment's written end is the next one's written start.
     """
-    segs = hyp.segments if isinstance(hyp, DiarizationHypothesis) else hyp
     lines = []
-    for start, end, label in segs:
+    for start, end, label in hyp.segments:
         if label == NON_SPEECH_LABEL:
             continue
         start, end = round(start, 3), round(end, 3)
@@ -146,7 +130,8 @@ def rttm_format(hyp, file_id: str) -> str:
     return "".join(lines)
 
 
-def rttm_read(path: str) -> list[tuple[float, float, str]]:
+def rttm_read(path: str) -> DiarizationHypothesis:
+    """The SPEAKER records of an RTTM file; other lines are skipped."""
     segs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -165,5 +150,4 @@ def rttm_read(path: str) -> list[tuple[float, float, str]]:
             if tbeg < 0 or tdur < 0:
                 raise ValueError(f"{path}: line {lineno}: negative start time or duration")
             segs.append((tbeg, tbeg + tdur, fields[7]))
-    segs.sort(key=lambda s: s[0])
-    return segs
+    return DiarizationHypothesis(segs)

@@ -16,11 +16,12 @@ ROUNDING_TOL = 2e-3
 
 
 def validate_segments(segments) -> list[tuple[float, float, str]]:
-    """The one overlap policy for labelled segments (segments files, RTTM,
-    hypotheses): coerce to ``(float, float, str)``, sort by ``(start, end)``,
-    reject ``end <= start``, and clip an overlap of at most ``ROUNDING_TOL``
-    so the later segment starts at the earlier one's end (dropping it if
-    nothing is left). A larger overlap raises ``ValueError``.
+    """The one overlap policy for labelled segments, run by
+    ``DiarizationHypothesis`` (and so by ``scoring.rttm_read``): coerce to
+    ``(float, float, str)``, sort by ``(start, end)``, reject
+    ``end <= start``, and clip an overlap of at most ``ROUNDING_TOL`` so the
+    later segment starts at the earlier one's end (dropping it if nothing is
+    left). A larger overlap raises ``ValueError``.
     """
     out: list[tuple[float, float, str]] = []
     for start, end, label in sorted((float(s), float(e), str(lab)) for s, e, lab in segments):
@@ -46,14 +47,10 @@ class DiarizationHypothesis:
         self.segments = validate_segments(self.segments)
 
     @property
-    def labels(self) -> list[str]:
-        """Distinct labels in first-appearance order, non-speech included."""
+    def speakers(self) -> list[str]:
+        """Distinct speaker labels in first-appearance order."""
         seen = []
         for _, _, lab in self.segments:
-            if lab not in seen:
+            if lab != NON_SPEECH_LABEL and lab not in seen:
                 seen.append(lab)
         return seen
-
-    @property
-    def speakers(self) -> list[str]:
-        return [lab for lab in self.labels if lab != NON_SPEECH_LABEL]

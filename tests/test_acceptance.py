@@ -16,6 +16,7 @@ from diarkit import audio_io, cli, dae, dominance, gmm, scoring, wpe
 from diarkit.config import Config
 from diarkit.diarizer import HmmModel, diarize, segmental_em, viterbi_path
 from diarkit.features import FeatureMatrix
+from diarkit.segments import DiarizationHypothesis
 from test_dae import random_network
 from test_diarizer import enumerate_best_path, gain_on_own_frames
 
@@ -196,11 +197,11 @@ def test_criterion_6_merge_gain_soundness():
 
 
 def test_criterion_7_der_scorer():
-    ref = [(0.0, 10.0, "A"), (10.0, 20.0, "B")]
-    hyp = [(0.0, 12.0, "spk1"), (12.0, 20.0, "spk2")]
+    ref = DiarizationHypothesis([(0.0, 10.0, "A"), (10.0, 20.0, "B")])
+    hyp = DiarizationHypothesis([(0.0, 12.0, "spk1"), (12.0, 20.0, "spk2")])
     hand = scoring.score_der(ref, hyp)
     exact = abs(hand.der - 0.1000) < 1e-12 and hand.mapping == {"spk1": "A", "spk2": "B"}
-    renamed = [(s, e, {"spk1": "zz", "spk2": "aa"}[lab]) for s, e, lab in hyp]
+    renamed = DiarizationHypothesis([(s, e, {"spk1": "zz", "spk2": "aa"}[lab]) for s, e, lab in hyp.segments])
     permuted = abs(scoring.score_der(ref, renamed).der - hand.der) < 1e-12
     identity = scoring.score_der(ref, ref).der == 0.0
     ok = exact and permuted and identity

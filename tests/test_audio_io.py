@@ -8,6 +8,7 @@ from scipy.io import wavfile
 
 from diarkit import audio_io
 from diarkit.audio_io import SessionScript, VoiceSpec, demo_script, synth_session
+from diarkit.segments import DiarizationHypothesis
 
 
 def sine(freq, rate, dur):
@@ -226,10 +227,10 @@ def test_read_segments_rejects_negative_start(tmp_path):
 def test_read_segments_rttm_round_trip(tmp_path):
     from diarkit import scoring
 
-    segs = [(0.5, 2.5, "spk0"), (3.0, 4.25, "spk1")]
+    hyp = DiarizationHypothesis([(0.5, 2.5, "spk0"), (3.0, 4.25, "spk1")])
     path = tmp_path / "ref.rttm"
-    path.write_text(scoring.rttm_format(segs, file_id="s1"))
-    assert audio_io.read_segments(str(path)) == segs
+    path.write_text(scoring.rttm_format(hyp, file_id="s1"))
+    assert audio_io.read_segments(str(path)) == [(0.5, 2.5), (3.0, 4.25)]
 
 
 def test_session_script_json_round_trip():

@@ -13,7 +13,10 @@ import pytest
 from diarkit import audio_io, cli, dae, scoring
 from diarkit.audio_io import SessionScript, VoiceSpec
 from diarkit.config import Config
+from diarkit.segments import DiarizationHypothesis
 from test_dae import random_network, write_model
+
+TWO_TURNS = DiarizationHypothesis([(0.0, 10.0, "A"), (10.0, 20.0, "B")])
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +79,7 @@ def test_diarize_end_to_end_mfcc(synth_dir, tmp_path):
     )
     assert rc == 0
     hyp = scoring.rttm_read(out)
-    assert {lab for _, _, lab in hyp} <= {"spk0", "spk1"}
+    assert set(hyp.speakers) <= {"spk0", "spk1"}
     meta_path = out.replace(".rttm", ".meta.jsonl")
     meta = json.loads(open(meta_path).read())
     assert meta["target_speakers"] == 2
@@ -147,6 +150,18 @@ def test_diarize_single_speaker_rejected(synth_dir, tmp_path):
     assert rc == 2
 
 
+def test_score_reads_rttm_named_after_out_path_with_space(synth_dir, tmp_path):
+    # The default file id is the --out name with its space made "_", so each
+    # RTTM line keeps its 10 fields.
+    out = tmp_path / "my hyp.rttm"
+    wavs = [os.path.join(synth_dir, f"ch{c}.wav") for c in range(2)]
+    sad = os.path.join(synth_dir, "sad.txt")
+    argv = ["diarize", *wavs, "--sad", sad, "--speakers", "2", "--features", "mfcc91", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_text().split()[1] == "my_hyp"
+    assert cli.main(["score", "--ref", os.path.join(synth_dir, "ref.rttm"), "--hyp", str(out)]) == 0
+
+
 def test_score_identical_files(synth_dir, capsys):
     ref = os.path.join(synth_dir, "ref.rttm")
     rc = cli.main(["score", "--ref", ref, "--hyp", ref])
@@ -157,8 +172,8 @@ def test_score_identical_files(synth_dir, capsys):
 
 def test_score_hand_worked_example(tmp_path, capsys):
     ref, hyp = str(tmp_path / "r.rttm"), str(tmp_path / "h.rttm")
-    Path(ref).write_text(scoring.rttm_format([(0.0, 10.0, "A"), (10.0, 20.0, "B")], "r"))
-    Path(hyp).write_text(scoring.rttm_format([(0.0, 12.0, "spk1"), (12.0, 20.0, "spk2")], "h"))
+    Path(ref).write_text(scoring.rttm_format(TWO_TURNS, "r"))
+    Path(hyp).write_text(scoring.rttm_format(DiarizationHypothesis([(0.0, 12.0, "spk1"), (12.0, 20.0, "spk2")]), "h"))
     json_out = str(tmp_path / "der.json")
     rc = cli.main(["score", "--ref", ref, "--hyp", hyp, "--json", json_out])
     assert rc == 0
@@ -175,7 +190,7 @@ def test_score_missing_file_exits_2(tmp_path):
 @pytest.mark.parametrize("tbeg, tdur", [("nan", "1.000"), ("1.000", "inf")])
 def test_score_non_finite_hypothesis_time_exits_1(tmp_path, capsys, tbeg, tdur):
     ref, hyp = str(tmp_path / "r.rttm"), tmp_path / "h.rttm"
-    Path(ref).write_text(scoring.rttm_format([(0.0, 10.0, "A"), (10.0, 20.0, "B")], "r"))
+    Path(ref).write_text(scoring.rttm_format(TWO_TURNS, "r"))
     hyp.write_text(f"SPEAKER h 1 0.000 10.000 <NA> <NA> a <NA> <NA>\nSPEAKER h 1 {tbeg} {tdur} <NA> <NA> b <NA> <NA>\n")
     assert cli.main(["score", "--ref", ref, "--hyp", str(hyp)]) == 1
     assert "h.rttm: line 2: non-finite time fields" in capsys.readouterr().err
@@ -183,7 +198,7 @@ def test_score_non_finite_hypothesis_time_exits_1(tmp_path, capsys, tbeg, tdur):
 
 def test_score_negative_hypothesis_start_exits_1(tmp_path, capsys):
     ref, hyp = str(tmp_path / "r.rttm"), tmp_path / "h.rttm"
-    Path(ref).write_text(scoring.rttm_format([(0.0, 10.0, "A"), (10.0, 20.0, "B")], "r"))
+    Path(ref).write_text(scoring.rttm_format(TWO_TURNS, "r"))
     hyp.write_text("SPEAKER h 1 -5.000 10.000 <NA> <NA> a <NA> <NA>\n")
     json_out = tmp_path / "der.json"
     assert cli.main(["score", "--ref", ref, "--hyp", str(hyp), "--json", str(json_out)]) == 1
@@ -329,6 +344,21 @@ def test_malformed_env_seed_exits_2(script_file, tmp_path, monkeypatch, capsys, 
     assert "DIARKIT_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "diarize"])
+def test_negative_env_seed_exits_2(script_file, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setenv("DIARKIT_SEED", "-3")
+    wav = tmp_path / "never_read.wav"
+    wav.write_bytes(b"")
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", script_file, str(out)],
+        "diarize": ["diarize", str(wav), "--sad", str(wav), "--out", str(out)],
+    }[command]
+    assert cli.main(argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_seed_override(script_file, tmp_path, monkeypatch):
     monkeypatch.setenv("DIARKIT_SEED", "77")
     a = str(tmp_path / "a")
@@ -409,7 +439,7 @@ BAD_CONFIG_LINES = [
     "n_coeffs = 0", "n_coeffs = 40", "n_mels = 0", "pre_emphasis = nan", "n_fft = 8",
     "window_sec = 0", "hop_sec = 0", "hop_sec = -0.01",
     "min_duration_sec = nan", "min_duration_sec = inf", "learning_rate = nan",
-    "n_speakers = 1", "corruption_level = 1.5", "feature_kind = wav", "mode = vad",
+    "n_speakers = 1", "corruption_level = 1.5", "feature_kind = wav", "mode = vad", "seed = -1",
 ]  # fmt: skip
 
 
@@ -509,7 +539,10 @@ def test_missing_sad_or_config_file_exits_2(tmp_path, capsys, flag):
      ("synth", "--max-delay-ms", "100", "--max-delay-ms"), ("synth", "--max-delay-ms", "-1", "--max-delay-ms"),
      ("synth", "--rate", "0", "--rate"), ("diarize", "--min-dur", "nan", "min_duration_sec"),
      ("diarize", "--min-dur", "inf", "min_duration_sec"), ("synth", "--snr-db", "nan", "--snr-db"),
-     ("synth", "--snr-db", "inf", "--snr-db"), ("synth", "--snr-db", "-inf", "--snr-db")],
+     ("synth", "--snr-db", "inf", "--snr-db"), ("synth", "--snr-db", "-inf", "--snr-db"),
+     ("synth", "--seed", "-1", "seed"), ("diarize", "--seed", "-1", "seed"),
+     ("synth", "--file-id", "", "--file-id"), ("synth", "--file-id", "a b", "--file-id"),
+     ("diarize", "--file-id", "", "--file-id"), ("diarize", "--file-id", "a\tb", "--file-id")],
 )  # fmt: skip
 def test_usage_errors_exit_2(script_file, tmp_path, capsys, command, flag, value, named):
     empty = tmp_path / "never_read"

@@ -265,14 +265,26 @@ def test_load_network_refuses_other_layouts(tmp_path, dims, message):
         load_network(str(path))
 
 
-@pytest.mark.parametrize("cut", [-8, -1, 8], ids=["short-layer", "short-byte", "padded"])
-def test_load_network_refuses_wrong_length(tmp_path, cut):
+WRONG_WEIGHTS = r"\d+ bytes of weights, the header declares"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data[:6], "6 bytes, shorter than the 12-byte model header"),
+        (lambda data: data[:20], "20 bytes, shorter than the header and its 5 layer sizes"),
+        (lambda data: data[:-8], WRONG_WEIGHTS),
+        (lambda data: data[:-1], WRONG_WEIGHTS),
+        (lambda data: data + b"\x00" * 8, WRONG_WEIGHTS),
+    ],
+    ids=["short-header", "short-sizes", "short-layer", "short-byte", "padded"],
+)
+def test_load_network_refuses_wrong_length(tmp_path, edit, message):
     # A model file cut off by a failed write, or one with bytes appended,
-    # fails naming the file instead of deep inside numpy.
-    data = network_bytes(random_network(9, 5, 3, seed=6))
+    # fails naming the file instead of deep inside struct or numpy.
     path = tmp_path / "model.sdae"
-    path.write_bytes(data[:cut] if cut < 0 else data + b"\x00" * cut)
-    with pytest.raises(ValueError, match=r"model\.sdae: \d+ bytes of weights, the header declares"):
+    path.write_bytes(edit(network_bytes(random_network(9, 5, 3, seed=6))))
+    with pytest.raises(ValueError, match=r"model\.sdae: " + message):
         load_network(str(path))
 
 
