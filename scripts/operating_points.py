@@ -3,16 +3,13 @@
 table: feature kind (bottleneck vs concatenated MFCC), SAD mode, and the
 minimum turn duration.
 
-With --sweep, print instead the oracle-SAD bottleneck DER of the same
-session for pipeline seeds 0-3 at OPENBLAS_NUM_THREADS 1 and 2. Each cell
-runs in its own child process, because OpenBLAS reads its thread count
-when numpy is first imported.
+With --cell SEED DURATION, print instead one oracle-SAD bottleneck DER:
+a DURATION-second session built the same way, at pipeline seed SEED.
 
-Usage: python scripts/operating_points.py [--quick] [--sweep]
+Usage: python scripts/operating_points.py [--quick | --cell SEED DURATION]
 """
 
 import os
-import subprocess
 import sys
 import time
 import warnings
@@ -22,9 +19,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from diarkit import audio_io, cli, scoring
 from diarkit.config import Config
 from diarkit.diarizer import diarize
-
-SWEEP_SEEDS = (0, 1, 2, 3)
-SWEEP_THREADS = ("1", "2")
 
 
 def session(duration):
@@ -45,30 +39,12 @@ def run_der(audio, reference, sad, cfg):
     return scoring.score_der(reference, hyp).der
 
 
-def sweep(duration):
-    print(f"{'seed':>4s} {'threads':>7s} {'DER':>8s} {'time':>6s}")
-    for seed in SWEEP_SEEDS:
-        for threads in SWEEP_THREADS:
-            t0 = time.time()
-            child = subprocess.run(
-                [sys.executable, __file__, "--cell", str(seed), str(duration)],
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
-                stdout=subprocess.PIPE,
-                text=True,
-                check=True,
-            )
-            print(f"{seed:4d} {threads:>7s} {float(child.stdout):8.4f} {time.time() - t0:5.0f}s", flush=True)
-
-
 def main():
     duration = 120.0 if "--quick" in sys.argv else 300.0
     if "--cell" in sys.argv:
         seed, duration = sys.argv[sys.argv.index("--cell") + 1 :][:2]
         cfg = Config(n_speakers=4, min_duration_sec=0.5, seed=int(seed))
         print(f"{run_der(*session(float(duration)), cfg):.6f}")
-        return 0
-    if "--sweep" in sys.argv:
-        sweep(duration)
         return 0
 
     audio, reference, sad = session(duration)

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.io import wavfile
 
-from .segments import DiarizationHypothesis
+from .segments import DiarizationHypothesis, rttm_read
 
 HOP_SEC = 0.010
 
@@ -357,18 +357,13 @@ def demo_script(
 def read_segments(path: str) -> list[tuple[float, float]]:
     """Speech-activity intervals, sorted: ``start_sec end_sec [label]`` per
     line with ``#`` comments, or an RTTM file (detected, and read by
-    ``scoring.rttm_read``). Labels are ignored, and intervals may overlap:
-    they only mark frames as speech.
+    ``rttm_read``, so its ``NS`` records are dropped). Labels are ignored,
+    and intervals may overlap: they only mark frames as speech.
     """
     with open(path, encoding="utf-8") as fh:
         body = [ln.strip() for ln in fh]
     if any(ln.startswith("SPEAKER") for ln in body):
-        # Imported here, not at the top: scoring loads scipy.optimize, which
-        # would make every import of this module several times slower, and
-        # synthesis and WAV I/O never need it.
-        from . import scoring
-
-        return [(start, end) for start, end, _ in scoring.rttm_read(path).segments]
+        return [(start, end) for start, end, _ in rttm_read(path).segments]
 
     out = []
     for lineno, line in enumerate(body, start=1):

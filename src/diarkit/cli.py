@@ -22,6 +22,7 @@ from . import audio_io, dae, dominance, features, scoring, wpe
 from .config import Config
 from .diarizer import diarize
 from .features import FeatureMatrix
+from .segments import rttm_format, rttm_read
 
 
 class UsageError(Exception):
@@ -178,7 +179,7 @@ def cmd_synth(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     for c, chan in enumerate(audio.channels):
         _atomic_write(os.path.join(args.out_dir, f"ch{c}.wav"), audio_io.wav_bytes(chan, audio.sample_rate))
-    _atomic_write(os.path.join(args.out_dir, "ref.rttm"), scoring.rttm_format(reference, file_id=args.file_id))
+    _atomic_write(os.path.join(args.out_dir, "ref.rttm"), rttm_format(reference, file_id=args.file_id))
     sad = "".join(f"{start:.3f} {end:.3f}\n" for start, end in audio_io.sad_from_script(script))
     _atomic_write(os.path.join(args.out_dir, "sad.txt"), sad)
     print(f"wrote {audio.channel_count} channels, ref.rttm, sad.txt to {args.out_dir}")
@@ -213,7 +214,7 @@ def cmd_diarize(args) -> int:
 
     hyp, meta = diarize(feats, cfg)
     file_id = args.file_id or re.sub(r"\s+", "_", os.path.splitext(os.path.basename(args.out))[0])
-    _atomic_write(args.out, scoring.rttm_format(hyp, file_id=file_id))
+    _atomic_write(args.out, rttm_format(hyp, file_id=file_id))
     meta_path = args.meta or (os.path.splitext(args.out)[0] + ".meta.jsonl")
     _atomic_write(meta_path, json.dumps(meta) + "\n")
     print(f"wrote {args.out} ({len(hyp.speakers)} speakers, stop: {meta['stop_reason']})")
@@ -226,8 +227,8 @@ def cmd_score(args) -> int:
             raise UsageError(f"file not found: {path}")
     if not (0.0 <= args.collar < math.inf):  # also false for NaN
         raise UsageError(f"--collar must be a finite value >= 0, got {args.collar}")
-    ref = scoring.rttm_read(args.ref)
-    hyp = scoring.rttm_read(args.hyp)
+    ref = rttm_read(args.ref)
+    hyp = rttm_read(args.hyp)
     breakdown = scoring.score_der(ref, hyp, collar_sec=args.collar)
     print(breakdown.report())
     print(f"DER {breakdown.der:.4f}")
@@ -245,7 +246,7 @@ def cmd_dominance(args) -> int:
     f_lo, f_hi = wpe.BAND_HZ
     if args.rate < 2 * f_hi:
         raise UsageError(f"--rate must be >= {2 * f_hi:g} to hold the {f_lo:g}-{f_hi:g} Hz band, got {args.rate}")
-    hyp = scoring.rttm_read(args.hyp)
+    hyp = rttm_read(args.hyp)
     audio = audio_io.load_session([args.audio], target_rate=args.rate)
     energies = wpe.segment_energy(audio.channels[0], hyp.segments, audio.sample_rate)
     report = dominance.dominance_report(

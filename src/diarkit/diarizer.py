@@ -20,7 +20,7 @@ from . import gmm as gmm_mod
 from .config import Config
 from .features import FeatureMatrix
 from .gmm import Gmm
-from .segments import NON_SPEECH_LABEL, DiarizationHypothesis
+from .segments import DiarizationHypothesis
 
 # EM iterations a merge trial runs on the pooled frames.
 MERGE_REFINE_ITERS = 5
@@ -216,20 +216,22 @@ def _segments_from_labels(
     labels: np.ndarray, frame_index: np.ndarray, cfg: Config, names: list[str]
 ) -> list[tuple[float, float, str]]:
     """Turn per-frame labels into time segments, splitting runs wherever the
-    original frame index jumps (removed non-speech). A run ends at the start
-    time of the frame after its last, computed the same way as a start, so
-    adjacent runs share one boundary value and never overlap. Two runs of
-    one label are split only at a frame gap, so at least one hop lies
-    between them."""
+    original frame index jumps (removed non-speech). A run of a label past
+    the end of ``names`` (the non-speech state) gives no segment. A run ends
+    at the start time of the frame after its last, computed the same way as
+    a start, so adjacent runs share one boundary value and never overlap.
+    Two runs of one label are split only at a frame gap, so at least one hop
+    lies between them."""
     hop_sec, half = cfg.hop_sec, cfg.window_sec / 2.0
     segs = []
     run_start = 0
     for i in range(1, len(labels) + 1):
         boundary = i == len(labels) or labels[i] != labels[i - 1] or frame_index[i] != frame_index[i - 1] + 1
         if boundary:
-            t0 = frame_index[run_start] * hop_sec + half - hop_sec / 2.0
-            t1 = (frame_index[i - 1] + 1) * hop_sec + half - hop_sec / 2.0
-            segs.append((max(0.0, t0), t1, names[labels[run_start]]))
+            if labels[run_start] < len(names):
+                t0 = frame_index[run_start] * hop_sec + half - hop_sec / 2.0
+                t1 = (frame_index[i - 1] + 1) * hop_sec + half - hop_sec / 2.0
+                segs.append((max(0.0, t0), t1, names[labels[run_start]]))
             run_start = i
     return segs
 
@@ -243,8 +245,8 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
     only, with ``frame_index`` mapping rows back to their original frames.
     With one (NO-SAD mode) all frames participate and one extra state,
     initialized from the masked non-speech frames, absorbs pauses; it is
-    appended last and never merged, so it stays last, and its output label is
-    the reserved non-speech label.
+    appended last and never merged, so it stays last, and its frames give
+    no segment.
     """
     data = X.data
     frame_index = X.frame_index if X.frame_index is not None else np.arange(X.n_frames)
@@ -321,7 +323,7 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
         new_states = [merged if k == a else g for k, g in enumerate(model.states) if k != b]
         model = HmmModel(states=new_states, min_dur_frames=T, self_loop_prob=cfg.self_loop_prob)
 
-    names = [f"spk{k}" for k in range(n_speaker_states)] + [NON_SPEECH_LABEL] * has_ns
+    names = [f"spk{k}" for k in range(n_speaker_states)]
     segs = _segments_from_labels(labels, frame_index, cfg, names)
     hyp = DiarizationHypothesis(segs)
     meta = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segments import NON_SPEECH_LABEL, DiarizationHypothesis
+from .segments import DiarizationHypothesis
 
 DEFAULT_SEGMENT_LEN_SEC = 300.0
 
@@ -56,10 +56,10 @@ def extract_features(
     of cues in ``FEATURE_NAMES`` order. ``energies`` holds one
     wavelet-packet band energy per hypothesis segment. A segment straddling
     a window boundary contributes time and energy pro-rata and one turn to
-    each window it touches. Non-speech segments are skipped.
+    each window it touches.
     """
     segs = hyp.segments
-    speakers = sorted({lab for _, _, lab in segs if lab != NON_SPEECH_LABEL})
+    speakers = sorted(hyp.speakers)
     if not speakers:
         raise ValueError("empty hypothesis: no speaker segments")
     if len(energies) != len(segs):
@@ -68,8 +68,6 @@ def extract_features(
 
     cues = np.zeros((n_windows, len(speakers), len(FEATURE_NAMES)))
     for (start, end, label), energy in zip(segs, energies):
-        if label == NON_SPEECH_LABEL:
-            continue
         s = speakers.index(label)
         w0 = min(int(start // segment_len_sec), n_windows - 1)
         w1 = min(int(np.nextafter(end, -np.inf) // segment_len_sec), n_windows - 1)

@@ -1,21 +1,19 @@
-"""Diarization error rate with optimal speaker mapping, plus RTTM I/O.
+"""Diarization error rate with optimal speaker mapping.
 
 DER = (false alarm + miss + speaker error) / total reference speech, where
 the hypothesis-to-reference label mapping is the one-to-one assignment that
-maximizes correctly attributed time. Segments carrying the reserved
-non-speech label count as silence on either side.
+maximizes correctly attributed time.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .segments import NON_SPEECH_LABEL, DiarizationHypothesis
+from .segments import DiarizationHypothesis
 
 
 @dataclass
@@ -68,8 +66,7 @@ def score_der(
     ``collar_sec`` excludes that much on both sides of every reference
     boundary from all components, including the total.
     """
-    ref = [seg for seg in reference.segments if seg[2] != NON_SPEECH_LABEL]
-    hyp = [seg for seg in hypothesis.segments if seg[2] != NON_SPEECH_LABEL]
+    ref, hyp = reference.segments, hypothesis.segments
     if not ref:
         raise ValueError("empty reference speech: DER undefined")
 
@@ -113,41 +110,3 @@ def score_der(
                 mapping[hyp_names[c]] = ref_names[r]
     err = float(overlap[unmatched].sum())
     return DerBreakdown(fa_sec=fa, miss_sec=miss, err_sec=err, total_sec=total, mapping=mapping)
-
-
-def rttm_format(hyp: DiarizationHypothesis, file_id: str) -> str:
-    """SPEAKER records, one per segment; non-speech segments are omitted.
-
-    Start and end are rounded to the millisecond before the duration is
-    taken, so a segment's written end is the next one's written start.
-    """
-    lines = []
-    for start, end, label in hyp.segments:
-        if label == NON_SPEECH_LABEL:
-            continue
-        start, end = round(start, 3), round(end, 3)
-        lines.append(f"SPEAKER {file_id} 1 {start:.3f} {end - start:.3f} <NA> <NA> {label} <NA> <NA>\n")
-    return "".join(lines)
-
-
-def rttm_read(path: str) -> DiarizationHypothesis:
-    """The SPEAKER records of an RTTM file; other lines are skipped."""
-    segs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or not line.startswith("SPEAKER"):
-                continue
-            fields = line.split()
-            if len(fields) != 10:
-                raise ValueError(f"{path}: line {lineno}: expected 10 RTTM fields, got {len(fields)}")
-            try:
-                tbeg, tdur = float(fields[3]), float(fields[4])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: bad time fields") from exc
-            if not (math.isfinite(tbeg) and math.isfinite(tbeg + tdur)):
-                raise ValueError(f"{path}: line {lineno}: non-finite time fields")
-            if tbeg < 0 or tdur < 0:
-                raise ValueError(f"{path}: line {lineno}: negative start time or duration")
-            segs.append((tbeg, tbeg + tdur, fields[7]))
-    return DiarizationHypothesis(segs)

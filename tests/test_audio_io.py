@@ -8,7 +8,7 @@ from scipy.io import wavfile
 
 from diarkit import audio_io
 from diarkit.audio_io import SessionScript, VoiceSpec, demo_script, synth_session
-from diarkit.segments import DiarizationHypothesis
+from diarkit.segments import DiarizationHypothesis, rttm_format
 
 
 def sine(freq, rate, dur):
@@ -225,12 +225,19 @@ def test_read_segments_rejects_negative_start(tmp_path):
 
 
 def test_read_segments_rttm_round_trip(tmp_path):
-    from diarkit import scoring
-
     hyp = DiarizationHypothesis([(0.5, 2.5, "spk0"), (3.0, 4.25, "spk1")])
     path = tmp_path / "ref.rttm"
-    path.write_text(scoring.rttm_format(hyp, file_id="s1"))
+    path.write_text(rttm_format(hyp, file_id="s1"))
     assert audio_io.read_segments(str(path)) == [(0.5, 2.5), (3.0, 4.25)]
+
+
+def test_read_segments_rttm_drops_non_speech(tmp_path):
+    path = tmp_path / "ref.rttm"
+    path.write_text(
+        "SPEAKER s1 1 0.000 5.000 <NA> <NA> spk0 <NA> <NA>\n"
+        "SPEAKER s1 1 5.000 3.000 <NA> <NA> NS <NA> <NA>\n"
+    )
+    assert audio_io.read_segments(str(path)) == [(0.0, 5.0)]
 
 
 def test_session_script_json_round_trip():

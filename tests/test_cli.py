@@ -13,7 +13,7 @@ import pytest
 from diarkit import audio_io, cli, dae, scoring
 from diarkit.audio_io import SessionScript, VoiceSpec
 from diarkit.config import Config
-from diarkit.segments import DiarizationHypothesis
+from diarkit.segments import DiarizationHypothesis, rttm_format, rttm_read
 from test_dae import random_network, write_model
 
 TWO_TURNS = DiarizationHypothesis([(0.0, 10.0, "A"), (10.0, 20.0, "B")])
@@ -78,13 +78,13 @@ def test_diarize_end_to_end_mfcc(synth_dir, tmp_path):
         ]
     )
     assert rc == 0
-    hyp = scoring.rttm_read(out)
+    hyp = rttm_read(out)
     assert set(hyp.speakers) <= {"spk0", "spk1"}
     meta_path = out.replace(".rttm", ".meta.jsonl")
     meta = json.loads(open(meta_path).read())
     assert meta["target_speakers"] == 2
     assert meta["config"]["feature_kind"] == "mfcc91"
-    ref = scoring.rttm_read(os.path.join(synth_dir, "ref.rttm"))
+    ref = rttm_read(os.path.join(synth_dir, "ref.rttm"))
     der = scoring.score_der(ref, hyp).der
     assert der <= 0.30
 
@@ -172,8 +172,8 @@ def test_score_identical_files(synth_dir, capsys):
 
 def test_score_hand_worked_example(tmp_path, capsys):
     ref, hyp = str(tmp_path / "r.rttm"), str(tmp_path / "h.rttm")
-    Path(ref).write_text(scoring.rttm_format(TWO_TURNS, "r"))
-    Path(hyp).write_text(scoring.rttm_format(DiarizationHypothesis([(0.0, 12.0, "spk1"), (12.0, 20.0, "spk2")]), "h"))
+    Path(ref).write_text(rttm_format(TWO_TURNS, "r"))
+    Path(hyp).write_text(rttm_format(DiarizationHypothesis([(0.0, 12.0, "spk1"), (12.0, 20.0, "spk2")]), "h"))
     json_out = str(tmp_path / "der.json")
     rc = cli.main(["score", "--ref", ref, "--hyp", hyp, "--json", json_out])
     assert rc == 0
@@ -190,7 +190,7 @@ def test_score_missing_file_exits_2(tmp_path):
 @pytest.mark.parametrize("tbeg, tdur", [("nan", "1.000"), ("1.000", "inf")])
 def test_score_non_finite_hypothesis_time_exits_1(tmp_path, capsys, tbeg, tdur):
     ref, hyp = str(tmp_path / "r.rttm"), tmp_path / "h.rttm"
-    Path(ref).write_text(scoring.rttm_format(TWO_TURNS, "r"))
+    Path(ref).write_text(rttm_format(TWO_TURNS, "r"))
     hyp.write_text(f"SPEAKER h 1 0.000 10.000 <NA> <NA> a <NA> <NA>\nSPEAKER h 1 {tbeg} {tdur} <NA> <NA> b <NA> <NA>\n")
     assert cli.main(["score", "--ref", ref, "--hyp", str(hyp)]) == 1
     assert "h.rttm: line 2: non-finite time fields" in capsys.readouterr().err
@@ -198,7 +198,7 @@ def test_score_non_finite_hypothesis_time_exits_1(tmp_path, capsys, tbeg, tdur):
 
 def test_score_negative_hypothesis_start_exits_1(tmp_path, capsys):
     ref, hyp = str(tmp_path / "r.rttm"), tmp_path / "h.rttm"
-    Path(ref).write_text(scoring.rttm_format(TWO_TURNS, "r"))
+    Path(ref).write_text(rttm_format(TWO_TURNS, "r"))
     hyp.write_text("SPEAKER h 1 -5.000 10.000 <NA> <NA> a <NA> <NA>\n")
     json_out = tmp_path / "der.json"
     assert cli.main(["score", "--ref", ref, "--hyp", str(hyp), "--json", str(json_out)]) == 1
@@ -218,7 +218,7 @@ def test_dominance_alternating_fixture(tmp_path, capsys):
     wav = str(tmp_path / "ch0.wav")
     Path(wav).write_bytes(audio_io.wav_bytes(audio.channels[0], rate))
     hyp_path = str(tmp_path / "ref.rttm")
-    Path(hyp_path).write_text(scoring.rttm_format(ref, "ref"))
+    Path(hyp_path).write_text(rttm_format(ref, "ref"))
     csv_path = str(tmp_path / "dom.csv")
     rc = cli.main(["dominance", "--hyp", hyp_path, "--audio", wav, "--out", csv_path])
     assert rc == 0

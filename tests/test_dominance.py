@@ -51,7 +51,8 @@ def test_alternating_turns_arithmetic():
 
 def test_ns_segments_excluded():
     hyp = DiarizationHypothesis([(0.0, 5.0, "a"), (5.0, 8.0, "NS"), (8.0, 12.0, "a")])
-    speakers, cues = cues_for(hyp, energies=[1.0, 9.0, 1.0], session_duration_sec=300.0)
+    assert len(hyp.segments) == 2
+    speakers, cues = cues_for(hyp, energies=[1.0, 1.0], session_duration_sec=300.0)
     assert speakers == ["a"]
     assert cues[0, 0, 0] == 2
     assert abs(cues[0, 0, 1] - 9.0) < 1e-9

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diarkit.audio_io import demo_script
-from diarkit.scoring import rttm_format, rttm_read, score_der
-from diarkit.segments import DiarizationHypothesis
+from diarkit.scoring import score_der
+from diarkit.segments import DiarizationHypothesis, rttm_format, rttm_read
 
 
 REF = DiarizationHypothesis([(0.0, 10.0, "A"), (10.0, 20.0, "B")])

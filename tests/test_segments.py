@@ -3,7 +3,7 @@ import pytest
 
 from diarkit import audio_io, features, scoring
 from diarkit.config import Config
-from diarkit.segments import DiarizationHypothesis
+from diarkit.segments import DiarizationHypothesis, rttm_read
 
 
 def _hypothesis(segs, tmp_path):
@@ -13,7 +13,7 @@ def _hypothesis(segs, tmp_path):
 def _rttm_file(segs, tmp_path):
     path = tmp_path / "segs.rttm"
     path.write_text("".join(f"SPEAKER x 1 {s!r} {e - s!r} <NA> <NA> {lab} <NA> <NA>\n" for s, e, lab in segs))
-    return scoring.rttm_read(str(path)).segments
+    return rttm_read(str(path)).segments
 
 
 def _scorer(segs, tmp_path):
@@ -41,6 +41,10 @@ CASES = {
         [(0.0, 1.0, "a"), (1.0, 2.0, "b")],
     ),
     "zero_length": ([(0.0, 1.0, "a"), (1.0, 1.0, "b")], "non-positive duration"),
+    "ns": (
+        [(0.0, 2.0, "a"), (1.0, 3.0, "NS"), (3.0, 4.0, "b")],
+        [(0.0, 2.0, "a"), (3.0, 4.0, "b")],
+    ),
 }
 
 
