@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .segments import ROUNDING_TOL
+
 # Symlet-6 scaling coefficients (sum = sqrt(2), shift-2 orthonormal).
 SYM6_SCALING = np.array(
     [
@@ -43,10 +45,18 @@ BAND_HZ = (50.0, 2000.0)  # the speech band whose energy dominance reads
 
 
 def _analyze(v: np.ndarray, filt: np.ndarray) -> np.ndarray:
-    """Periodic correlation with ``filt``, downsampled by 2."""
-    n = len(v)
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(len(filt))[None, :]) % n
-    return v[idx] @ filt
+    """Periodic correlation with ``filt``, downsampled by 2: returns
+    ``len(v) // 2`` coefficients.
+
+    The node is extended cyclically by ``len(filt) - 1`` samples
+    (``np.resize`` wraps more than once when the node is shorter than the
+    filter) and every second window of it is copied into one contiguous
+    ``(len(v) // 2, len(filt))`` matrix, so a single matrix-vector product
+    does the filtering.
+    """
+    ext = np.resize(v, len(v) + len(filt) - 1)
+    windows = np.lib.stride_tricks.sliding_window_view(ext, len(filt))[: len(v) - 1 : 2]
+    return np.ascontiguousarray(windows) @ filt
 
 
 def _synthesize(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -130,13 +140,17 @@ def band_energy(tree: WptTree, f_lo: float = BAND_HZ[0], f_hi: float = BAND_HZ[1
 def segment_energy(channel: np.ndarray, segments: list[tuple], sample_rate: int) -> np.ndarray:
     """``BAND_HZ`` wavelet-packet energy of each ``(start, end, ...)``
     segment of the reference channel; short segments are zero-padded up to
-    the minimum transform length."""
+    the minimum transform length. An end past the audio by at most
+    ``ROUNDING_TOL`` (RTTM's 3-decimal rounding) is clipped to the last
+    sample; a larger overshoot raises ``ValueError``."""
     channel = np.asarray(channel, dtype=np.float64)
     block = 1 << DEFAULT_DEPTH
     out = np.empty(len(segments))
     for i, seg in enumerate(segments):
         start, end = seg[0], seg[1]
         i0, i1 = int(round(start * sample_rate)), int(round(end * sample_rate))
+        if i1 > len(channel) and end - len(channel) / sample_rate <= ROUNDING_TOL:
+            i1 = len(channel)
         if i0 < 0 or i1 > len(channel) or i1 <= i0:
             raise ValueError(f"segment [{start}, {end}] outside audio range")
         samples = channel[i0:i1]

@@ -250,6 +250,22 @@ def test_dominance_clips_rttm_rounding_overlaps(tmp_path):
     assert spts == {"a": 2.001, "b": 0.999}
 
 
+def test_dominance_rttm_end_rounded_past_audio_end(tmp_path):
+    # 239,997 samples at 8 kHz last 29.999625 s; the RTTM's 3 decimals put
+    # b's end at 30.000 s, half a millisecond past the audio.
+    wav = str(tmp_path / "ch0.wav")
+    Path(wav).write_bytes(audio_io.wav_bytes(np.random.default_rng(1).normal(0.0, 0.1, 239_997), 8000))
+    hyp_path = tmp_path / "hyp.rttm"
+    hyp_path.write_text(
+        "SPEAKER s 1 0.000 10.000 <NA> <NA> a <NA> <NA>\n"
+        "SPEAKER s 1 10.000 20.000 <NA> <NA> b <NA> <NA>\n"
+    )
+    csv_path = tmp_path / "dom.csv"
+    assert cli.main(["dominance", "--hyp", str(hyp_path), "--audio", wav, "--out", str(csv_path)]) == 0
+    rows = [line.split(",") for line in csv_path.read_text().split()[1:]]
+    assert [row[1] for row in rows] == ["a", "b"]
+
+
 def test_features_dump_command(synth_dir, tmp_path):
     from diarkit import features as feat_mod
 

@@ -8,6 +8,13 @@ def tone(freq, n=4096, rate=8000):
     return np.sin(2 * np.pi * freq * np.arange(n) / rate)
 
 
+def _gather_analyze(v, filt):
+    """Reference ``_analyze``: gather the periodic windows by index."""
+    n = len(v)
+    idx = (2 * np.arange(n // 2)[:, None] + np.arange(len(filt))[None, :]) % n
+    return v[idx] @ filt
+
+
 def test_filter_bank_orthonormality():
     h = wpe.SYM6_SCALING
     assert abs(h.sum() - np.sqrt(2)) < 1e-12
@@ -19,6 +26,31 @@ def test_filter_bank_orthonormality():
     for m in range(1, 6):
         assert abs(np.dot(lo[: -2 * m], hi[2 * m :])) < 1e-12
         assert abs(np.dot(lo[2 * m :], hi[: -2 * m])) < 1e-12
+
+
+@pytest.mark.parametrize("filt", [wpe.DEC_LO, wpe.DEC_HI], ids=["lo", "hi"])
+def test_analyze_bit_identical_to_gather(filt):
+    rng = np.random.default_rng(7)
+    for n in [*range(2, 131, 2), 4096, 5056]:
+        v = rng.normal(size=n)
+        assert wpe._analyze(v, filt).tobytes() == _gather_analyze(v, filt).tobytes(), n
+    for n in (1, 3, 5, 11, 13, 25, 4097):
+        v = rng.normal(size=n)
+        out = wpe._analyze(v, filt)
+        assert len(out) == n // 2
+        assert out.tobytes() == _gather_analyze(v, filt).tobytes(), n
+
+
+def test_segment_energy_bit_identical_to_gather_tree(monkeypatch):
+    rate = 8000
+    rng = np.random.default_rng(8)
+    audio = rng.normal(size=20000)
+    lengths = np.concatenate([rng.integers(1, 64, size=10), rng.integers(65, 4000, size=40)])
+    starts = rng.integers(0, len(audio) - lengths)
+    segments = [(s / rate, (s + n) / rate) for s, n in zip(starts, lengths)]
+    fast = wpe.segment_energy(audio, segments, rate)
+    monkeypatch.setattr(wpe, "_analyze", _gather_analyze)
+    assert fast.tobytes() == wpe.segment_energy(audio, segments, rate).tobytes()
 
 
 def test_parseval_random_signal():
@@ -115,3 +147,18 @@ def test_segment_energy_short_segment_padded():
 def test_segment_energy_out_of_range():
     with pytest.raises(ValueError, match="outside"):
         wpe.segment_energy(np.zeros(800), [(0.0, 1.0)], 8000)
+
+
+def test_segment_energy_clips_rttm_rounded_end():
+    # 239,997 samples at 8 kHz end at 29.999625 s; an RTTM end of 30.000 s
+    # passes them by 0.375 ms, within the rounding tolerance.
+    audio = np.random.default_rng(9).normal(size=239_997)
+    out = wpe.segment_energy(audio, [(10.0, 30.0)], 8000)
+    clipped = wpe.band_energy(wpe.wpt(audio[80_000:], 8000))
+    assert out.tobytes() == np.array([clipped]).tobytes()
+
+
+def test_segment_energy_overshoot_beyond_rounding_raises():
+    audio = np.zeros(239_997)
+    with pytest.raises(ValueError, match="outside"):
+        wpe.segment_energy(audio, [(10.0, len(audio) / 8000 + 0.003)], 8000)
