@@ -141,7 +141,7 @@ def extract_session_features(
         return staged, None
 
     if net is None:
-        net = dae.pretrain_stack(staged, cfg, hidden_dim=combined.dim)
+        net = dae.pretrain_stack(staged.data, cfg, hidden_dim=combined.dim)
     elif (net.input_dim, net.bottleneck_dim) != (staged.dim, cfg.bottleneck_dim):
         raise UsageError(
             f"stored network maps {net.input_dim} -> {net.bottleneck_dim} dims; "

@@ -1,5 +1,6 @@
-"""Every setting of the pipeline in one flat namespace. The fields are the
-keys of a ``--config`` file; each is checked once, on construction."""
+"""Every setting of the pipeline in one flat namespace; the FFT size and the
+number of merge rounds follow from them. The fields are the keys of a
+``--config`` file; each is checked once, on construction."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ class Config:
     pre_emphasis: float = 0.97
     window_sec: float = 0.025
     hop_sec: float = 0.010
-    n_fft: int = 256
     n_mels: int = 26
     n_coeffs: int = 13
     splice_left: int = 5
@@ -35,7 +35,6 @@ class Config:
     components_per_initial_segment: int = 2
     self_loop_prob: float = 0.9
     em_iters: int = 5
-    max_outer_iters: int = 30
     mode: str = "oracle-sad"  # oracle-sad | no-sad
     seed: int = 0
 
@@ -46,7 +45,7 @@ class Config:
         for key, low in (
             ("sample_rate", 1), ("n_mels", 1), ("splice_left", 0), ("splice_right", 0), ("bottleneck_dim", 1),
             ("epochs", 1), ("batch_size", 1), ("n_speakers", 2), ("initial_states", 1),
-            ("components_per_initial_segment", 1), ("em_iters", 0), ("max_outer_iters", 0), ("seed", 0),
+            ("components_per_initial_segment", 1), ("em_iters", 0), ("seed", 0),
         ):  # fmt: skip
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
@@ -65,9 +64,6 @@ class Config:
         ):
             if not ok:
                 raise ValueError(f"{key} must {rule}, got {getattr(self, key)}")
-        window = round(self.window_sec * self.sample_rate)
-        if self.n_fft < window:
-            raise ValueError(f"n_fft must be >= the window length ({window} samples), got {self.n_fft}")
         lo, hi = 3 * self.n_speakers, 6 * self.n_speakers
         if not (lo <= self.initial_states <= hi):
             warnings.warn(

@@ -164,14 +164,13 @@ def _train_single_dae(X, n_hidden, acts, cfg: Config, rng):
     return (w_enc, b_enc), (w_dec, b_dec), losses
 
 
-def pretrain_stack(features: FeatureMatrix | np.ndarray, cfg: Config, hidden_dim: int) -> Network:
+def pretrain_stack(X: np.ndarray, cfg: Config, hidden_dim: int) -> Network:
     """Greedy layer-wise pretraining: a tanh/linear autoencoder on the raw
-    features, then a sigmoid/sigmoid one on its codes down to
+    feature rows ``X``, then a sigmoid/sigmoid one on its codes down to
     ``cfg.bottleneck_dim``. Deterministic given ``cfg.seed``; per-epoch clean
     reconstruction losses, measured on a fixed strided sample of the rows,
     are kept on the result.
     """
-    X = features.data if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     if len(X) < cfg.batch_size:
         raise ValueError(f"need at least {cfg.batch_size} frames to train (got {len(X)})")
     rng = np.random.default_rng(cfg.seed)

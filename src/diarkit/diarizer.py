@@ -11,6 +11,7 @@ their own. Merging stops at the known speaker count or when no pair gains.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -239,7 +240,8 @@ def _segments_from_labels(
 def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]:
     """Full loop: over-segment, fit initial GMM states, then alternate
     segmental EM and greedy best-pair merging until the speaker-count target
-    or no remaining pair improves the pooled likelihood.
+    or no remaining pair improves the pooled likelihood. A round that does
+    not stop merges two states, so at most ``initial_states + 1`` rounds run.
 
     Without a ``speech_mask`` (oracle-SAD mode) ``X`` holds speech frames
     only, with ``frame_index`` mapping rows back to their original frames.
@@ -275,16 +277,15 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
     skipped_merge_pairs: list[dict] = []
     dropped_states: list[dict] = []
     stop_reason = None
-    # Every round aligns first; the round after a stop, or the last one,
-    # only aligns.
-    for round_idx in range(cfg.max_outer_iters + 1):
+    # Every round aligns first; the round after a stop only aligns.
+    for round_idx in itertools.count():
         n_in = model.n_states
         model, labels, hist, kept = segmental_em(model, data, max_iters=cfg.em_iters)
         em_history.extend(hist)
         dropped_states.extend({"round": round_idx, "state": k} for k in range(n_in) if k not in kept)
         has_ns = has_ns and kept[-1] == n_in - 1
         n_speaker_states = model.n_states - has_ns
-        if stop_reason or round_idx == cfg.max_outer_iters:
+        if stop_reason:
             break
         if n_speaker_states <= cfg.n_speakers:
             stop_reason = "reached_target_states"
@@ -330,7 +331,7 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
         "final_states": model.n_states,
         "final_speaker_states": n_speaker_states,
         "target_speakers": cfg.n_speakers,
-        "stop_reason": stop_reason or "max_outer_iters",
+        "stop_reason": stop_reason,
         "min_dur_frames": T,
         "em_path_log_prob": em_history,
         "merge_trace": merge_trace,

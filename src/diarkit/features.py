@@ -72,21 +72,22 @@ def mel_filterbank(n_mels: int, n_fft: int, rate: int) -> np.ndarray:
 
 def mfcc(signal: np.ndarray, cfg: Config) -> FeatureMatrix:
     """MFCCs (c0 included) of a signal at ``cfg.sample_rate``: pre-emphasis,
-    Hamming window, power spectrum, mel filterbank, floored log, orthonormal
-    DCT-II.
+    Hamming window, power spectrum over the next power of two at or above the
+    window, mel filterbank, floored log, orthonormal DCT-II.
     """
     rate = cfg.sample_rate
     signal = np.asarray(signal, dtype=np.float64)
     win = int(round(cfg.window_sec * rate))
     hop = int(round(cfg.hop_sec * rate))
+    n_fft = 1 << (win - 1).bit_length()
     if len(signal) < win:
         raise ValueError(f"signal shorter than one window ({len(signal)} < {win} samples)")
     emphasized = np.concatenate([signal[:1], signal[1:] - cfg.pre_emphasis * signal[:-1]])
     n_frames = (len(signal) - win) // hop + 1
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = emphasized[idx] * np.hamming(win)
-    spectrum = np.abs(np.fft.rfft(frames, n=cfg.n_fft, axis=1)) ** 2
-    fb = mel_filterbank(cfg.n_mels, cfg.n_fft, rate)
+    spectrum = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
+    fb = mel_filterbank(cfg.n_mels, n_fft, rate)
     logmel = np.log(np.maximum(spectrum @ fb.T, LOG_FLOOR))
     coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_coeffs]
     return FeatureMatrix(coeffs)

@@ -89,6 +89,8 @@ def score_der(
     hyp_code, hyp_names = _speaker_codes(hyp, mids)
 
     total = float(durs[scored & (ref_code >= 0)].sum())
+    if total == 0:
+        raise ValueError(f"a {collar_sec:g} s collar excludes all reference speech: DER undefined")
     fa = float(durs[scored & (ref_code < 0) & (hyp_code >= 0)].sum())
     miss = float(durs[scored & (ref_code >= 0) & (hyp_code < 0)].sum())
 

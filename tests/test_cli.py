@@ -206,6 +206,32 @@ def test_score_negative_hypothesis_start_exits_1(tmp_path, capsys):
     assert not json_out.exists()
 
 
+def test_score_collar_over_all_reference_speech_exits_1(tmp_path, capsys):
+    ref, hyp = str(tmp_path / "r.rttm"), str(tmp_path / "h.rttm")
+    Path(ref).write_text(rttm_format(TWO_TURNS, "r"))
+    Path(hyp).write_text(rttm_format(TWO_TURNS, "h"))
+    json_out = tmp_path / "der.json"
+    assert cli.main(["score", "--ref", ref, "--hyp", hyp, "--collar", "30", "--json", str(json_out)]) == 1
+    assert "DER undefined" in capsys.readouterr().err
+    assert not json_out.exists()
+
+
+def test_diarize_at_16k_from_a_config_file(script_file, tmp_path):
+    # At 16 kHz the 25 ms window is 400 samples, past the 256-point FFT of 8 kHz.
+    session = tmp_path / "s16"
+    assert cli.main(["synth", script_file, str(session), "--channels", "2", "--seed", "3", "--rate", "16000"]) == 0
+    cfg_path = tmp_path / "sr16.cfg"
+    cfg_path.write_text("sample_rate = 16000\n")
+    out = tmp_path / "sr16.rttm"
+    wavs = [str(session / f"ch{c}.wav") for c in range(2)]
+    argv = ["diarize", *wavs, "--sad", str(session / "sad.txt"), "--speakers", "2", "--features", "mfcc91"]
+    assert cli.main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert rttm_read(str(out)).segments
+    meta = json.loads((tmp_path / "sr16.meta.jsonl").read_text())
+    assert meta["config"]["sample_rate"] == 16000
+    assert meta["stop_reason"] in ("reached_target_states", "no_positive_merge_gain")
+
+
 def test_dominance_alternating_fixture(tmp_path, capsys):
     rate = 8000
     rng = np.random.default_rng(4)
@@ -318,12 +344,25 @@ def test_config_file_and_flag_precedence(synth_dir, tmp_path):
     assert meta["config"]["min_duration_sec"] == 0.5  # flag wins
 
 
-def test_corruption_kind_is_not_a_key(tmp_path):
-    # Corruption is always additive Gaussian noise; the old key is refused.
+# Keys that are gone: corruption is always additive Gaussian noise, the FFT
+# size follows from the window, and merging runs to the speaker count.
+@pytest.mark.parametrize(
+    "line", ["corruption_kind = masking", "n_fft = 8", "max_outer_iters = -1"], ids=lambda line: line.split()[0]
+)
+def test_corruption_kind_is_not_a_key(tmp_path, capsys, line):
+    key = line.split()[0]
     cfg_path = tmp_path / "old.cfg"
-    cfg_path.write_text("corruption_kind = masking\n")
-    with pytest.raises(cli.UsageError, match="unknown config key 'corruption_kind'"):
+    cfg_path.write_text(line + "\n")
+    with pytest.raises(cli.UsageError, match=f"unknown config key '{key}'"):
         cli.load_config_file(str(cfg_path))
+    with pytest.raises(TypeError, match=key):
+        Config(**{key: 8})
+    wav = tmp_path / "never_read.wav"
+    wav.write_bytes(b"")
+    out = tmp_path / "x.rttm"
+    assert cli.main(["diarize", str(wav), "--sad", str(wav), "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_unknown_key_rejected(synth_dir, tmp_path):
@@ -389,11 +428,11 @@ def test_env_seed_override(script_file, tmp_path, monkeypatch):
 # ------------------------------------------------------------ config contract
 
 CONFIG_KEYS = {
-    "sample_rate", "pre_emphasis", "window_sec", "hop_sec", "n_fft", "n_mels", "n_coeffs",
+    "sample_rate", "pre_emphasis", "window_sec", "hop_sec", "n_mels", "n_coeffs",
     "splice_left", "splice_right", "feature_kind", "bottleneck_dim",
     "corruption_level", "learning_rate", "momentum", "epochs", "batch_size",
     "n_speakers", "initial_states", "min_duration_sec", "components_per_initial_segment",
-    "self_loop_prob", "em_iters", "max_outer_iters", "mode", "seed",
+    "self_loop_prob", "em_iters", "mode", "seed",
 }  # fmt: skip
 
 # Flags of the pipeline subcommands that name inputs and outputs, not keys.
@@ -450,16 +489,19 @@ def test_stage_flag_beats_config_file(tmp_path):
 BAD_CONFIG_LINES = [
     "learning_rate = -1", "self_loop_prob = 1.5", "min_duration_sec = 0",
     "sample_rate = 0", "bottleneck_dim = 0", "splice_left = -7", "splice_right = -1",
-    "initial_states = 0", "components_per_initial_segment = 0", "max_outer_iters = -1", "em_iters = -2",
+    "initial_states = 0", "components_per_initial_segment = 0", "em_iters = -2",
     "epochs = 0", "epochs = -1", "batch_size = 0", "momentum = 1", "momentum = -0.1",
-    "n_coeffs = 0", "n_coeffs = 40", "n_mels = 0", "pre_emphasis = nan", "n_fft = 8",
+    "n_coeffs = 0", "n_coeffs = 40", "n_mels = 0", "pre_emphasis = nan",
     "window_sec = 0", "hop_sec = 0", "hop_sec = -0.01",
     "min_duration_sec = nan", "min_duration_sec = inf", "learning_rate = nan",
     "n_speakers = 1", "corruption_level = 1.5", "feature_kind = wav", "mode = vad", "seed = -1",
 ]  # fmt: skip
 
+# Keys Config no longer has: a line setting one is refused as an unknown key.
+GONE_KEY_LINES = ["n_fft = 8", "max_outer_iters = -1"]
 
-@pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+
+@pytest.mark.parametrize("line", BAD_CONFIG_LINES + GONE_KEY_LINES)
 def test_invalid_stage_value_in_config_exits_2(tmp_path, capsys, line):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(line + "\n")
@@ -472,11 +514,16 @@ def test_invalid_stage_value_in_config_exits_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+@pytest.mark.parametrize("line", BAD_CONFIG_LINES + GONE_KEY_LINES)
 def test_invalid_config_value_raises_naming_the_key(line):
     key, value = line.split(" = ")
+    types = _config_types()
+    if key not in types:
+        with pytest.raises(TypeError, match=key):
+            Config(**{key: int(value)})
+        return
     with pytest.raises(ValueError, match=key):
-        Config(**{key: _config_types()[key](value)})
+        Config(**{key: types[key](value)})
 
 
 @pytest.mark.parametrize(

@@ -418,6 +418,20 @@ def test_diarize_single_source_reports_stop_reason():
     assert "merge_trace" in meta
 
 
+def test_diarize_merges_down_to_the_speaker_count(monkeypatch):
+    # Every pair gains, so only the speaker count stops the merging: 40
+    # states take 38 merges, more rounds than any fixed cap short of that.
+    rng = np.random.default_rng(0)
+    X = np.vstack([rng.normal(loc=10.0 * i, size=(30, 2)) for i in range(40)])
+    monkeypatch.setattr(diarizer, "merge_gain", lambda g1, X1, ll1, g2, X2, ll2: (1.0, gmm.merge_init(g1, g2)))
+    with pytest.warns(UserWarning, match="initial_states=40 outside"):
+        cfg = Config(n_speakers=2, initial_states=40, min_duration_sec=0.05)
+    _, meta = diarize(make_feature_matrix(X), cfg)
+    assert meta["final_speaker_states"] == 2
+    assert meta["stop_reason"] == "reached_target_states"
+    assert len(meta["merge_trace"]) == 38
+
+
 def test_diarize_deterministic_given_seed():
     rng = np.random.default_rng(13)
     X, _ = synthetic_session_features(rng, n_speakers=2, n_turns=10)

@@ -81,12 +81,39 @@ def test_mfcc_matches_independent_oracle():
 
 def test_mfcc_every_window_sample_counts():
     # At 16 kHz the 25 ms window is 400 samples; the tail of the first
-    # window must reach the first frame, not be cut off at n_fft.
-    cfg = Config(sample_rate=16000, n_fft=512)
+    # window must reach the first frame, not be cut off by the FFT size.
+    cfg = Config(sample_rate=16000)
     x = np.random.default_rng(5).normal(size=16000)
     cut = x.copy()
     cut[300:400] = 0.0
     assert not np.array_equal(mfcc(x, cfg).data[0], mfcc(cut, cfg).data[0])
+
+
+# Windows of 200, 276, 400, 551, 1102 and 320 samples: all but the first
+# are longer than 256 points.
+FFT_SIZES = [
+    ({"sample_rate": 8000}, 256), ({"sample_rate": 11025}, 512), ({"sample_rate": 16000}, 512),
+    ({"sample_rate": 22050}, 1024), ({"sample_rate": 44100}, 2048), ({"window_sec": 0.04}, 512),
+]
+
+
+@pytest.mark.parametrize(
+    "settings, expected", FFT_SIZES, ids=[",".join(f"{k}={v}" for k, v in s.items()) for s, _ in FFT_SIZES]
+)
+def test_mfcc_fft_size_covers_the_window(monkeypatch, settings, expected):
+    seen = []
+
+    def spy(n_mels, n_fft, rate):
+        seen.append(n_fft)
+        return real(n_mels, n_fft, rate)
+
+    real = features.mel_filterbank
+    monkeypatch.setattr(features, "mel_filterbank", spy)
+    cfg = Config(**settings)
+    win = round(cfg.window_sec * cfg.sample_rate)
+    assert mfcc(np.random.default_rng(0).normal(size=cfg.sample_rate // 10), cfg).n_frames > 0
+    assert seen == [expected]
+    assert win <= expected < 2 * win and expected & (expected - 1) == 0
 
 
 def test_mfcc_too_short_signal():

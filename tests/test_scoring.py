@@ -125,6 +125,13 @@ def test_empty_reference_rejected():
         score_der(DiarizationHypothesis([]), DiarizationHypothesis([(0.0, 1.0, "a")]))
 
 
+@pytest.mark.parametrize("collar", [5.0, 30.0])
+def test_collar_over_all_reference_speech_rejected(collar):
+    # Every instant of REF lies within 5 s of one of its boundaries.
+    with pytest.raises(ValueError, match="excludes all reference speech: DER undefined"):
+        score_der(REF, DiarizationHypothesis([(0.0, 20.0, "a")]), collar_sec=collar)
+
+
 def test_overlapping_reference_rejected(tmp_path):
     path = tmp_path / "ref.rttm"
     path.write_text("SPEAKER r 1 0.000 5.000 <NA> <NA> A <NA> <NA>\nSPEAKER r 1 4.000 4.000 <NA> <NA> B <NA> <NA>\n")
