@@ -12,7 +12,7 @@ from scipy.io import wavfile
 
 from .segments import DiarizationHypothesis, rttm_read
 
-HOP_SEC = 0.010
+CHANNEL_LENGTH_TOLERANCE_SEC = 0.010
 
 # Resampler quality knobs: Kaiser-windowed sinc, fixed kernel support.
 _KAISER_BETA = 8.0
@@ -65,6 +65,19 @@ class VoiceSpec:
     vowel_spread: float = 0.20
     f0_jitter: float = 0.04
 
+    def __post_init__(self):
+        self.resonances_hz = tuple(self.resonances_hz)
+        # Every comparison below is also false for NaN.
+        for key, ok, rule in (
+            ("f0_hz", 0.0 < self.f0_hz < math.inf, "be positive and finite"),
+            ("tilt_db_per_octave", math.isfinite(self.tilt_db_per_octave), "be finite"),
+            ("resonances_hz", all(0.0 < fc < math.inf for fc in self.resonances_hz), "be positive and finite"),
+            ("vowel_spread", 0.0 <= self.vowel_spread < 1.0, "lie in [0, 1)"),
+            ("f0_jitter", 0.0 <= self.f0_jitter < 1.0, "lie in [0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(f"voice {key} must {rule}, got {getattr(self, key)}")
+
 
 @dataclass
 class SessionScript:
@@ -79,12 +92,14 @@ class SessionScript:
     total_duration_sec: float
 
     def __post_init__(self):
+        if not 0.0 < self.total_duration_sec < math.inf:  # also false for NaN
+            raise ValueError(f"total_duration_sec must be positive and finite, got {self.total_duration_sec}")
         self.events = sorted(self.events, key=lambda e: e[1])
         prev_end = 0.0
         for spk, start, dur in self.events:
             if not (0 <= spk < len(self.speakers)):
                 raise ValueError(f"event speaker index {spk} out of range")
-            if start < 0 or dur <= 0 or start + dur > self.total_duration_sec + 1e-9:
+            if not (start >= 0 and dur > 0 and start + dur <= self.total_duration_sec + 1e-9):  # also true for NaN
                 raise ValueError(f"event ({spk}, {start}, {dur}) outside session")
             if start < prev_end - 1e-9:
                 raise ValueError(f"events overlap at t={start}")
@@ -109,11 +124,7 @@ class SessionScript:
         """Inverse of ``to_json``; a voice field missing from the file keeps
         its default."""
         raw = json.loads(text)
-        speakers = []
-        for v in raw["speakers"]:
-            if "resonances_hz" in v:
-                v = {**v, "resonances_hz": tuple(v["resonances_hz"])}
-            speakers.append(VoiceSpec(**v))
+        speakers = [VoiceSpec(**v) for v in raw["speakers"]]
         events = [(int(e[0]), float(e[1]), float(e[2])) for e in raw["events"]]
         return cls(speakers=speakers, events=events, total_duration_sec=float(raw["total_duration_sec"]))
 
@@ -173,8 +184,8 @@ def load_session(paths: list[str], target_rate: int) -> MultiStreamAudio:
     """Load one mono WAV per channel (or a single multi-channel WAV) and
     resample everything to ``target_rate``.
 
-    Channels are truncated to the shortest stream; duration mismatches
-    beyond one hop are rejected.
+    Channels are truncated to the shortest stream; a channel more than
+    ``CHANNEL_LENGTH_TOLERANCE_SEC`` (10 ms) longer than it is rejected.
     """
     if not paths:
         raise ValueError("no input files")
@@ -196,7 +207,7 @@ def load_session(paths: list[str], target_rate: int) -> MultiStreamAudio:
     durations = [len(d) / r for _, r, d in raw]
     shortest = min(durations)
     for (path, _, _), dur in zip(raw, durations):
-        if dur - shortest > HOP_SEC:
+        if dur - shortest > CHANNEL_LENGTH_TOLERANCE_SEC:
             raise ValueError(
                 f"channel duration mismatch: {path!r} is {dur - shortest:.3f} s longer than the shortest stream"
             )

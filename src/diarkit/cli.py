@@ -130,10 +130,7 @@ def extract_session_features(
     normalized = [features.cmvn(f, mask) for f in raw]
     combined = dataclasses.replace(features.concat_streams(normalized), speech_mask=mask)
 
-    if cfg.feature_kind == "mfcc91":
-        staged = combined
-    else:
-        staged = features.splice(combined, cfg.splice_left, cfg.splice_right)
+    staged = combined if cfg.feature_kind == "mfcc91" else features.splice(combined, features.SPLICE_FRAMES)
     if cfg.mode != "no-sad":
         staged = dataclasses.replace(staged, data=staged.data[mask], speech_mask=None, frame_index=np.flatnonzero(mask))
 
@@ -241,8 +238,8 @@ def cmd_dominance(args) -> int:
     for path in (args.hyp, args.audio):
         if not os.path.exists(path):
             raise UsageError(f"file not found: {path}")
-    if not args.segment_len > 0:  # also false for NaN
-        raise UsageError(f"--segment-len must be positive, got {args.segment_len}")
+    if not args.segment_len >= dominance.MIN_SEGMENT_LEN_SEC:  # also true for NaN
+        raise UsageError(f"--segment-len must be at least {dominance.MIN_SEGMENT_LEN_SEC:g} s, got {args.segment_len}")
     f_lo, f_hi = wpe.BAND_HZ
     if args.rate < 2 * f_hi:
         raise UsageError(f"--rate must be >= {2 * f_hi:g} to hold the {f_lo:g}-{f_hi:g} Hz band, got {args.rate}")

@@ -1,5 +1,6 @@
 """Every setting of the pipeline in one flat namespace; the FFT size and the
-number of merge rounds follow from them. The fields are the keys of a
+number of merge rounds follow from them, and fixed design values are
+constants of the modules that read them. The fields are the keys of a
 ``--config`` file; each is checked once, on construction."""
 
 from __future__ import annotations
@@ -12,13 +13,8 @@ from dataclasses import dataclass
 @dataclass
 class Config:
     sample_rate: int = 8000
-    pre_emphasis: float = 0.97
     window_sec: float = 0.025
     hop_sec: float = 0.010
-    n_mels: int = 26
-    n_coeffs: int = 13
-    splice_left: int = 5
-    splice_right: int = 5
     feature_kind: str = "bnf"  # bnf | mfcc91
     bottleneck_dim: int = 21
     corruption_level: float = 0.2  # std of the additive Gaussian noise
@@ -26,14 +22,12 @@ class Config:
     # channels), so the step has to be small: at 0.01 SGD is chaotic and the
     # trained features follow the BLAS summation order, i.e. the thread count.
     learning_rate: float = 0.001
-    momentum: float = 0.05
     epochs: int = 10
     batch_size: int = 256
     n_speakers: int = 4
     initial_states: int = 12
     min_duration_sec: float = 0.5
     components_per_initial_segment: int = 2
-    self_loop_prob: float = 0.9
     em_iters: int = 5
     mode: str = "oracle-sad"  # oracle-sad | no-sad
     seed: int = 0
@@ -43,24 +37,19 @@ class Config:
             if getattr(self, key) not in choices:
                 raise ValueError(f"{key} must be one of {', '.join(choices)}, got {getattr(self, key)!r}")
         for key, low in (
-            ("sample_rate", 1), ("n_mels", 1), ("splice_left", 0), ("splice_right", 0), ("bottleneck_dim", 1),
-            ("epochs", 1), ("batch_size", 1), ("n_speakers", 2), ("initial_states", 1),
-            ("components_per_initial_segment", 1), ("em_iters", 0), ("seed", 0),
+            ("sample_rate", 1), ("bottleneck_dim", 1), ("epochs", 1), ("batch_size", 1), ("n_speakers", 2),
+            ("initial_states", 1), ("components_per_initial_segment", 1), ("em_iters", 0), ("seed", 0),
         ):  # fmt: skip
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         one_sample = f"be finite and at least one sample at {self.sample_rate} Hz"
         # Every comparison below is also false for NaN.
         for key, ok, rule in (
-            ("pre_emphasis", 0.0 <= self.pre_emphasis <= 1.0, "lie in [0, 1]"),
             ("window_sec", 0.5 < self.window_sec * self.sample_rate < math.inf, one_sample),  # rounds to >= 1
             ("hop_sec", 0.5 < self.hop_sec * self.sample_rate < math.inf, one_sample),
-            ("n_coeffs", 1 <= self.n_coeffs <= self.n_mels, f"lie in [1, n_mels = {self.n_mels}]"),
             ("corruption_level", 0.0 <= self.corruption_level <= 1.0, "lie in [0, 1]"),
             ("learning_rate", 0.0 < self.learning_rate < math.inf, "be positive and finite"),
-            ("momentum", 0.0 <= self.momentum < 1.0, "lie in [0, 1)"),
             ("min_duration_sec", 0.0 < self.min_duration_sec < math.inf, "be positive and finite"),
-            ("self_loop_prob", 0.0 < self.self_loop_prob < 1.0, "lie in (0, 1)"),
         ):
             if not ok:
                 raise ValueError(f"{key} must {rule}, got {getattr(self, key)}")

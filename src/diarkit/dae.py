@@ -27,6 +27,8 @@ ACTIVATIONS = ("tanh", "sigmoid", "sigmoid", "linear")
 # recorded, so no parameter depends on the sample.
 CLEAN_LOSS_ROWS = 512
 
+MOMENTUM = 0.05  # fraction of the previous SGD step each step keeps
+
 
 @dataclass
 class Network:
@@ -156,8 +158,8 @@ def _train_single_dae(X, n_hidden, acts, cfg: Config, rng):
                     f"training diverged at epoch {epoch}, loss history so far: {losses}"
                 )
             for i in range(len(weights)):
-                vel_w[i] = cfg.momentum * vel_w[i] - cfg.learning_rate * gw[i]
-                vel_b[i] = cfg.momentum * vel_b[i] - cfg.learning_rate * gb[i]
+                vel_w[i] = MOMENTUM * vel_w[i] - cfg.learning_rate * gw[i]
+                vel_b[i] = MOMENTUM * vel_b[i] - cfg.learning_rate * gb[i]
                 weights[i] += vel_w[i]
                 biases[i] += vel_b[i]
         losses.append(clean_loss())

@@ -26,19 +26,20 @@ from .segments import DiarizationHypothesis
 # EM iterations a merge trial runs on the pooled frames.
 MERGE_REFINE_ITERS = 5
 
+SELF_LOOP_PROB = 0.9  # see ``HmmModel``
+
 
 @dataclass
 class HmmModel:
     """K states sharing one GMM each across T chained sub-states.
 
     Sub-state i advances to i+1 with probability 1; the last sub-state
-    self-loops with ``self_loop_prob`` and exits to every other state's
+    self-loops with ``SELF_LOOP_PROB`` and exits to every other state's
     first sub-state with equal probability.
     """
 
     states: list[Gmm]
     min_dur_frames: int
-    self_loop_prob: float
 
     def __post_init__(self):
         if self.min_dur_frames < 1:
@@ -56,7 +57,7 @@ class HmmModel:
         return np.column_stack([g.per_frame_log_likelihood(X) for g in self.states])
 
     def decode(self, X: np.ndarray) -> tuple[np.ndarray, float]:
-        return viterbi_path(self.log_emissions(X), self.min_dur_frames, self.self_loop_prob)
+        return viterbi_path(self.log_emissions(X), self.min_dur_frames, SELF_LOOP_PROB)
 
 
 def init_segmentation(n_frames: int, n_segments: int, min_segment_frames: int = 2) -> list[tuple[int, int]]:
@@ -190,7 +191,7 @@ def segmental_em(
             prev_labels = None  # state indices changed; old alignment is stale
         else:
             prev_labels = labels
-        model = HmmModel(states=states, min_dur_frames=model.min_dur_frames, self_loop_prob=model.self_loop_prob)
+        model = HmmModel(states=states, min_dur_frames=model.min_dur_frames)
         labels, score = model.decode(X)
         history.append(score)
     return model, labels, history, kept
@@ -271,7 +272,7 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
     if has_ns:
         states.append(gmm_mod.em_fit(data[ns_rows], m_s, seed=cfg.seed + 7))
 
-    model = HmmModel(states=states, min_dur_frames=T, self_loop_prob=cfg.self_loop_prob)
+    model = HmmModel(states=states, min_dur_frames=T)
     em_history: list[float] = []
     merge_trace: list[dict] = []
     skipped_merge_pairs: list[dict] = []
@@ -322,7 +323,7 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
             }
         )
         new_states = [merged if k == a else g for k, g in enumerate(model.states) if k != b]
-        model = HmmModel(states=new_states, min_dur_frames=T, self_loop_prob=cfg.self_loop_prob)
+        model = HmmModel(states=new_states, min_dur_frames=T)
 
     names = [f"spk{k}" for k in range(n_speaker_states)]
     segs = _segments_from_labels(labels, frame_index, cfg, names)

@@ -17,6 +17,8 @@ import numpy as np
 from .segments import DiarizationHypothesis
 
 DEFAULT_SEGMENT_LEN_SEC = 300.0
+# RTTM's time resolution: finer windows add nothing but windows.
+MIN_SEGMENT_LEN_SEC = 0.001
 
 FEATURE_NAMES = ("turns", "spts", "spens")
 

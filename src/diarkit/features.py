@@ -18,6 +18,12 @@ FEATURE_MAGIC = b"FEA1"
 # Mel energies are floored here before the log.
 LOG_FLOOR = 1e-10
 
+# The fixed front end (Davis & Mermelstein, 1980); 7 channels: 13 -> 91 -> 1001 dims.
+PRE_EMPHASIS = 0.97
+N_MELS = 26
+N_COEFFS = 13
+SPLICE_FRAMES = 5
+
 
 @dataclass
 class FeatureMatrix:
@@ -61,13 +67,8 @@ def mel_filterbank(n_mels: int, n_fft: int, rate: int) -> np.ndarray:
     frequency, evaluated at rfft bin centers."""
     edges = hz_from_mel(np.linspace(0.0, mel_from_hz(rate / 2.0), n_mels + 2))
     bins_hz = np.arange(n_fft // 2 + 1) * rate / n_fft
-    fb = np.zeros((n_mels, n_fft // 2 + 1))
-    for m in range(n_mels):
-        lo, ctr, hi = edges[m], edges[m + 1], edges[m + 2]
-        up = (bins_hz - lo) / (ctr - lo)
-        down = (hi - bins_hz) / (hi - ctr)
-        fb[m] = np.clip(np.minimum(up, down), 0.0, None)
-    return fb
+    lo, ctr, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]  # one row per filter
+    return np.clip(np.minimum((bins_hz - lo) / (ctr - lo), (hi - bins_hz) / (hi - ctr)), 0.0, None)
 
 
 def mfcc(signal: np.ndarray, cfg: Config) -> FeatureMatrix:
@@ -82,14 +83,12 @@ def mfcc(signal: np.ndarray, cfg: Config) -> FeatureMatrix:
     n_fft = 1 << (win - 1).bit_length()
     if len(signal) < win:
         raise ValueError(f"signal shorter than one window ({len(signal)} < {win} samples)")
-    emphasized = np.concatenate([signal[:1], signal[1:] - cfg.pre_emphasis * signal[:-1]])
-    n_frames = (len(signal) - win) // hop + 1
-    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = emphasized[idx] * np.hamming(win)
+    emphasized = np.concatenate([signal[:1], signal[1:] - PRE_EMPHASIS * signal[:-1]])
+    frames = np.lib.stride_tricks.sliding_window_view(emphasized, win)[::hop] * np.hamming(win)
     spectrum = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-    fb = mel_filterbank(cfg.n_mels, n_fft, rate)
+    fb = mel_filterbank(N_MELS, n_fft, rate)
     logmel = np.log(np.maximum(spectrum @ fb.T, LOG_FLOOR))
-    coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, : cfg.n_coeffs]
+    coeffs = dct(logmel, type=2, norm="ortho", axis=1)[:, :N_COEFFS]
     return FeatureMatrix(coeffs)
 
 
@@ -124,14 +123,12 @@ def concat_streams(per_channel: list[FeatureMatrix]) -> FeatureMatrix:
     return replace(first, data=np.hstack([f.data for f in per_channel]))
 
 
-def splice(f: FeatureMatrix, left: int, right: int) -> FeatureMatrix:
-    """Stack each frame with its temporal context, replicating the edge
-    frame where context is missing."""
+def splice(f: FeatureMatrix, context: int) -> FeatureMatrix:
+    """Stack each frame with ``context`` frames on either side, replicating
+    the edge frame where context is missing."""
     n = f.n_frames
-    offsets = np.arange(-left, right + 1)
-    idx = np.clip(np.arange(n)[:, None] + offsets[None, :], 0, n - 1)
-    stacked = f.data[idx].reshape(n, (left + right + 1) * f.dim)
-    return replace(f, data=stacked)
+    idx = np.clip(np.arange(n)[:, None] + np.arange(-context, context + 1), 0, n - 1)
+    return replace(f, data=f.data[idx].reshape(n, -1))
 
 
 def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple[float, float]], cfg: Config) -> np.ndarray:

@@ -113,7 +113,7 @@ def test_criterion_3_em_monotonicity():
             states = [
                 gmm.em_fit(X[rng.choice(len(X), 50, replace=False)], 1, seed=trial * 7 + k) for k in range(K)
             ]
-            model = HmmModel(states=states, min_dur_frames=int(rng.integers(1, 6)), self_loop_prob=0.9)
+            model = HmmModel(states=states, min_dur_frames=int(rng.integers(1, 6)))
             _, _, history, _ = segmental_em(model, X, max_iters=8)
             if len(history) > 1:
                 worst_path = min(worst_path, float(np.diff(history).min()))

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -108,7 +109,7 @@ def test_load_session_resamples_parallel_streams(tmp_path):
     assert audio.channel_count == 3
     assert audio.sample_rate == rate_out
     assert len({len(ch) for ch in audio.channels}) == 1
-    assert abs(audio.duration_sec - 1.5) < audio_io.HOP_SEC
+    assert abs(audio.duration_sec - 1.5) < audio_io.CHANNEL_LENGTH_TOLERANCE_SEC
 
 
 def test_load_session_duration_mismatch_names_file(tmp_path):
@@ -252,6 +253,29 @@ def test_session_script_json_round_trip():
 def test_session_script_json_missing_voice_fields_take_defaults():
     text = '{"total_duration_sec": 2.0, "speakers": [{"f0_hz": 120.0}], "events": [[0, 0.0, 1.0]]}'
     assert SessionScript.from_json(text).speakers == [VoiceSpec(f0_hz=120.0)]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("f0_hz", 0.0), ("f0_hz", -50.0), ("f0_hz", math.nan), ("tilt_db_per_octave", math.inf),
+     ("resonances_hz", (math.nan, 1500.0)), ("resonances_hz", (500.0, -1.0)),
+     ("vowel_spread", 1.0), ("f0_jitter", -0.1)],
+)  # fmt: skip
+def test_voice_spec_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        VoiceSpec(**{"f0_hz": 120.0, field: value})
+
+
+@pytest.mark.parametrize("duration", [-5.0, 0.0, math.nan, math.inf])
+def test_session_script_rejects_bad_duration(duration):
+    with pytest.raises(ValueError, match="total_duration_sec"):
+        SessionScript(speakers=[VoiceSpec(f0_hz=120.0)], events=[], total_duration_sec=duration)
+
+
+@pytest.mark.parametrize("event", [(0, math.nan, 1.0), (0, 0.5, math.nan)])
+def test_session_script_rejects_nan_event_times(event):
+    with pytest.raises(ValueError, match="outside session"):
+        SessionScript(speakers=[VoiceSpec(f0_hz=120.0)], events=[event], total_duration_sec=4.0)
 
 
 def test_demo_script_shares_bias_speaking_time():

@@ -47,6 +47,25 @@ def test_synth_missing_script_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("resonances_hz", [float("nan"), 1500.0, 2500.0]), ("tilt_db_per_octave", float("inf")),
+     ("f0_hz", -50.0), ("f0_hz", 0.0), ("f0_hz", float("nan")), ("total_duration_sec", -5.0)],
+)  # fmt: skip
+def test_synth_bad_script_value_exits_1_writing_nothing(script_file, tmp_path, capsys, field, value):
+    raw = json.loads(Path(script_file).read_text())
+    if field == "total_duration_sec":
+        raw[field] = value
+    else:
+        raw["speakers"][0][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))  # NaN and Infinity as Python's json writes and reads them
+    out = tmp_path / "out"
+    assert cli.main(["synth", str(bad), str(out), "--channels", "1", "--seed", "3"]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_deterministic_bytes(script_file, tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.main(["synth", script_file, a, "--channels", "2", "--seed", "9"]) == 0
@@ -344,10 +363,21 @@ def test_config_file_and_flag_precedence(synth_dir, tmp_path):
     assert meta["config"]["min_duration_sec"] == 0.5  # flag wins
 
 
+# The fixed front end, the DAE momentum and the HMM self-loop probability,
+# each at the value its module keeps as a constant.
+CONSTANT_LINES = [
+    "pre_emphasis = 0.97", "n_mels = 26", "n_coeffs = 13", "splice_left = 5", "splice_right = 5",
+    "momentum = 0.05", "self_loop_prob = 0.9",
+]  # fmt: skip
+
+
 # Keys that are gone: corruption is always additive Gaussian noise, the FFT
-# size follows from the window, and merging runs to the speaker count.
+# size follows from the window, merging runs to the speaker count, and the
+# values above are constants.
 @pytest.mark.parametrize(
-    "line", ["corruption_kind = masking", "n_fft = 8", "max_outer_iters = -1"], ids=lambda line: line.split()[0]
+    "line",
+    ["corruption_kind = masking", "n_fft = 8", "max_outer_iters = -1", *CONSTANT_LINES],
+    ids=lambda line: line.split()[0],
 )
 def test_corruption_kind_is_not_a_key(tmp_path, capsys, line):
     key = line.split()[0]
@@ -428,11 +458,10 @@ def test_env_seed_override(script_file, tmp_path, monkeypatch):
 # ------------------------------------------------------------ config contract
 
 CONFIG_KEYS = {
-    "sample_rate", "pre_emphasis", "window_sec", "hop_sec", "n_mels", "n_coeffs",
-    "splice_left", "splice_right", "feature_kind", "bottleneck_dim",
-    "corruption_level", "learning_rate", "momentum", "epochs", "batch_size",
+    "sample_rate", "window_sec", "hop_sec", "feature_kind", "bottleneck_dim",
+    "corruption_level", "learning_rate", "epochs", "batch_size",
     "n_speakers", "initial_states", "min_duration_sec", "components_per_initial_segment",
-    "self_loop_prob", "em_iters", "mode", "seed",
+    "em_iters", "mode", "seed",
 }  # fmt: skip
 
 # Flags of the pipeline subcommands that name inputs and outputs, not keys.
@@ -487,18 +516,21 @@ def test_stage_flag_beats_config_file(tmp_path):
 # One bad value per line: each must exit 2 from the CLI and raise a
 # ValueError naming its key from Config itself.
 BAD_CONFIG_LINES = [
-    "learning_rate = -1", "self_loop_prob = 1.5", "min_duration_sec = 0",
-    "sample_rate = 0", "bottleneck_dim = 0", "splice_left = -7", "splice_right = -1",
+    "learning_rate = -1", "min_duration_sec = 0", "sample_rate = 0", "bottleneck_dim = 0",
     "initial_states = 0", "components_per_initial_segment = 0", "em_iters = -2",
-    "epochs = 0", "epochs = -1", "batch_size = 0", "momentum = 1", "momentum = -0.1",
-    "n_coeffs = 0", "n_coeffs = 40", "n_mels = 0", "pre_emphasis = nan",
+    "epochs = 0", "epochs = -1", "batch_size = 0",
     "window_sec = 0", "hop_sec = 0", "hop_sec = -0.01",
     "min_duration_sec = nan", "min_duration_sec = inf", "learning_rate = nan",
     "n_speakers = 1", "corruption_level = 1.5", "feature_kind = wav", "mode = vad", "seed = -1",
 ]  # fmt: skip
 
-# Keys Config no longer has: a line setting one is refused as an unknown key.
-GONE_KEY_LINES = ["n_fft = 8", "max_outer_iters = -1"]
+# Keys Config no longer has: a line setting one is refused as an unknown key,
+# whether its value was once out of range or is the constant's own.
+GONE_KEY_LINES = [
+    "n_fft = 8", "max_outer_iters = -1", "self_loop_prob = 1.5", "splice_left = -7", "splice_right = -1",
+    "momentum = 1", "momentum = -0.1", "n_coeffs = 0", "n_coeffs = 40", "n_mels = 0", "pre_emphasis = nan",
+    *CONSTANT_LINES,
+]  # fmt: skip
 
 
 @pytest.mark.parametrize("line", BAD_CONFIG_LINES + GONE_KEY_LINES)
@@ -520,7 +552,7 @@ def test_invalid_config_value_raises_naming_the_key(line):
     types = _config_types()
     if key not in types:
         with pytest.raises(TypeError, match=key):
-            Config(**{key: int(value)})
+            Config(**{key: value})
         return
     with pytest.raises(ValueError, match=key):
         Config(**{key: types[key](value)})
@@ -528,7 +560,7 @@ def test_invalid_config_value_raises_naming_the_key(line):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--segment-len", "0"), ("--segment-len", "-5"), ("--segment-len", "nan"),
+    [("--segment-len", "0"), ("--segment-len", "-5"), ("--segment-len", "nan"), ("--segment-len", "1e-6"),
      ("--rate", "0"), ("--rate", "-8000"), ("--rate", "7")],
 )  # fmt: skip
 def test_dominance_bad_window_or_rate_exits_2(tmp_path, capsys, flag, value):

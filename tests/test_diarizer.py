@@ -6,6 +6,7 @@ import pytest
 from diarkit import diarizer, gmm
 from diarkit.config import Config
 from diarkit.diarizer import (
+    SELF_LOOP_PROB,
     HmmModel,
     diarize,
     init_segmentation,
@@ -57,7 +58,7 @@ def random_model(rng, n_states, dim, min_dur):
         Gmm(weights=[1.0], means=[rng.normal(size=dim) * 3], variances=[rng.uniform(0.5, 2.0, size=dim)])
         for _ in range(n_states)
     ]
-    return HmmModel(states=states, min_dur_frames=min_dur, self_loop_prob=0.9)
+    return HmmModel(states=states, min_dur_frames=min_dur)
 
 
 def test_init_segmentation_even_split():
@@ -105,7 +106,7 @@ def test_viterbi_model_decode_matches_oracle():
         model = random_model(rng, int(rng.integers(2, 4)), 2, int(rng.integers(1, 4)))
         X = rng.normal(size=(8, 2))
         labels, score = model.decode(X)
-        ref_labels, ref_score = enumerate_best_path(model.log_emissions(X), model.min_dur_frames, 0.9)
+        ref_labels, ref_score = enumerate_best_path(model.log_emissions(X), model.min_dur_frames, SELF_LOOP_PROB)
         assert abs(score - ref_score) < 1e-9
         np.testing.assert_array_equal(labels, ref_labels)
 
@@ -128,7 +129,7 @@ def test_log_emissions_match_direct_formula():
     silence[:, 0] = math.log(1e-10)
     states.append(gmm.em_fit(silence, 2, seed=5))
     assert (states[-1].variances[:, 0] == gmm.ABS_VAR_FLOOR).all()
-    model = HmmModel(states=states, min_dur_frames=3, self_loop_prob=0.9)
+    model = HmmModel(states=states, min_dur_frames=3)
     X = rng.normal(scale=4.0, size=(200, dim))
     X[::2, 0] = math.log(1e-10)
     expected = np.empty((len(X), len(states)))
@@ -237,7 +238,7 @@ def test_segmental_em_fixed_point_short_circuit():
     means = [np.full(3, -4.0), np.full(3, 4.0)]
     X, _ = block_data(rng, means, 40, 4, 3)
     states = [gmm.em_fit(X[:80][::2], 1, seed=0), gmm.em_fit(X[80:][::2], 1, seed=1)]
-    model = HmmModel(states=states, min_dur_frames=5, self_loop_prob=0.9)
+    model = HmmModel(states=states, min_dur_frames=5)
     model2, labels, history, kept = segmental_em(model, X, max_iters=10)
     assert kept == [0, 1]
     assert len(history) <= 4  # converges almost immediately on easy data
@@ -249,7 +250,7 @@ def test_segmental_em_recovers_distinct_means():
     X, truth = block_data(rng, means, 50, 6, 4)
     # deliberately poor starting models: fit on interleaved halves
     states = [gmm.em_fit(X[::2], 2, seed=0), gmm.em_fit(X[1::2], 2, seed=1)]
-    model = HmmModel(states=states, min_dur_frames=10, self_loop_prob=0.9)
+    model = HmmModel(states=states, min_dur_frames=10)
     _, labels, history, _ = segmental_em(model, X, max_iters=10)
     acc = max((labels == truth).mean(), (labels == 1 - truth).mean())
     assert acc >= 0.95
@@ -264,7 +265,7 @@ def test_segmental_em_path_log_prob_monotone_random_trials():
         K = int(rng.integers(2, 4))
         X = rng.normal(size=(int(rng.integers(100, 200)), dim))
         states = [gmm.em_fit(X[rng.choice(len(X), 40, replace=False)], 1, seed=trial * 10 + k) for k in range(K)]
-        model = HmmModel(states=states, min_dur_frames=int(rng.integers(1, 6)), self_loop_prob=0.9)
+        model = HmmModel(states=states, min_dur_frames=int(rng.integers(1, 6)))
         _, _, history, _ = segmental_em(model, X, max_iters=8)
         assert (np.diff(history) >= -1e-6).all(), f"trial {trial}: {history}"
 

@@ -197,19 +197,19 @@ def test_concat_streams_frame_mismatch():
 
 def test_splice_dimensions():
     f = FeatureMatrix(np.random.default_rng(8).normal(size=(50, 91)))
-    assert splice(f, 5, 5).dim == 1001
+    assert splice(f, 5).dim == 1001
 
 
 def test_splice_single_frame_replicates():
     f = FeatureMatrix(np.arange(4.0).reshape(1, 4))
-    out = splice(f, 5, 5)
+    out = splice(f, 5)
     np.testing.assert_array_equal(out.data.reshape(11, 4), np.tile(f.data, (11, 1)))
 
 
 def test_splice_interior_frame_is_exact_context():
     rng = np.random.default_rng(9)
     f = FeatureMatrix(rng.normal(size=(30, 3)))
-    out = splice(f, 5, 5)
+    out = splice(f, 5)
     t = 12
     expected = np.concatenate([f.data[t + off] for off in range(-5, 6)])
     np.testing.assert_array_equal(out.data[t], expected)
@@ -217,7 +217,7 @@ def test_splice_interior_frame_is_exact_context():
 
 def test_splice_center_block_projection():
     f = FeatureMatrix(np.random.default_rng(10).normal(size=(40, 6)))
-    out = splice(f, 5, 5)
+    out = splice(f, 5)
     np.testing.assert_array_equal(out.data[:, 5 * 6 : 6 * 6], f.data)
 
 
