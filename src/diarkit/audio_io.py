@@ -20,10 +20,13 @@ _SINC_TAPS = 64
 
 MAX_DELAY_MS = 50.0
 
+MIN_F0_HZ = 30.0  # lowest rendered fundamental: synthesis time grows as 1 / f0
+
 
 @dataclass
 class MultiStreamAudio:
-    """Synchronized single-speaker-array channels at a common sample rate."""
+    """Synchronized single-speaker-array channels at a common sample rate,
+    each at the dtype ``_read_wav`` or ``resample`` gives it."""
 
     channels: list[np.ndarray]
     sample_rate: int
@@ -69,11 +72,12 @@ class VoiceSpec:
         self.resonances_hz = tuple(self.resonances_hz)
         # Every comparison below is also false for NaN.
         for key, ok, rule in (
-            ("f0_hz", 0.0 < self.f0_hz < math.inf, "be positive and finite"),
             ("tilt_db_per_octave", math.isfinite(self.tilt_db_per_octave), "be finite"),
             ("resonances_hz", all(0.0 < fc < math.inf for fc in self.resonances_hz), "be positive and finite"),
             ("vowel_spread", 0.0 <= self.vowel_spread < 1.0, "lie in [0, 1)"),
             ("f0_jitter", 0.0 <= self.f0_jitter < 1.0, "lie in [0, 1)"),
+            ("f0_hz", MIN_F0_HZ <= self.f0_hz * (1.0 - self.f0_jitter) < math.inf,
+             f"be finite, with f0_hz * (1 - f0_jitter) at least {MIN_F0_HZ:g} Hz"),
         ):
             if not ok:
                 raise ValueError(f"voice {key} must {rule}, got {getattr(self, key)}")
@@ -130,6 +134,10 @@ class SessionScript:
 
 
 def _read_wav(path: str) -> tuple[int, np.ndarray]:
+    """Rate and samples at the narrowest float type that holds the file's
+    values exactly: float32 for float32 and int16 files (``int16 / 32768`` is
+    exact in float32), float64 for int32 and float64 files. Float samples are
+    not copied."""
     try:
         rate, data = wavfile.read(path)
     except Exception as exc:
@@ -137,15 +145,14 @@ def _read_wav(path: str) -> tuple[int, np.ndarray]:
     if data.size == 0:
         raise ValueError(f"zero-length audio in {path!r}")
     if data.dtype == np.int16:
-        data = data.astype(np.float64) / 32768.0
+        data = data / np.float32(32768.0)
     elif data.dtype == np.int32:
-        data = data.astype(np.float64) / 2147483648.0
+        data = data / 2147483648.0
     elif data.dtype in (np.float32, np.float64):
         # min and max propagate NaN; unlike isfinite they allocate no mask
         # as long as the audio.
         if not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise ValueError(f"non-finite samples in {path!r}")
-        data = data.astype(np.float64)
     else:
         raise ValueError(f"unsupported WAV sample format {data.dtype} in {path!r}")
     return int(rate), data
@@ -163,10 +170,9 @@ def resample(signal: np.ndarray, in_rate: int, out_rate: int) -> np.ndarray:
     taps at the input rate, cut off at the lower of the two Nyquist rates).
     The output has ``len(signal) * out_rate // in_rate`` samples.
 
-    Identity passthrough when the rates match, so already-at-rate audio is
-    bit-identical.
+    Returns ``signal`` itself when the rates match, at its own dtype; only a
+    real resample converts it, to float64.
     """
-    signal = np.asarray(signal, dtype=np.float64)
     if in_rate == out_rate:
         return signal
     # Imported here, not at the top: scipy.signal takes about a second to
@@ -174,6 +180,7 @@ def resample(signal: np.ndarray, in_rate: int, out_rate: int) -> np.ndarray:
     # resample.
     from scipy.signal import firwin, resample_poly
 
+    signal = np.asarray(signal, dtype=np.float64)
     g = math.gcd(in_rate, out_rate)
     up, down = out_rate // g, in_rate // g
     taps = firwin(_SINC_TAPS * up + 1, 1 / max(up, down), window=("kaiser", _KAISER_BETA))
@@ -190,19 +197,11 @@ def load_session(paths: list[str], target_rate: int) -> MultiStreamAudio:
     if not paths:
         raise ValueError("no input files")
     raw: list[tuple[str, int, np.ndarray]] = []
-    if len(paths) == 1:
-        rate, data = _read_wav(paths[0])
-        if data.ndim == 2:
-            for c in range(data.shape[1]):
-                raw.append((paths[0], rate, data[:, c]))
-        else:
-            raw.append((paths[0], rate, data))
-    else:
-        for path in paths:
-            rate, data = _read_wav(path)
-            if data.ndim != 1:
-                raise ValueError(f"expected mono WAV, got {data.shape[1]} channels in {path!r}")
-            raw.append((path, rate, data))
+    for path in paths:
+        rate, data = _read_wav(path)
+        if data.ndim != 1 and len(paths) > 1:
+            raise ValueError(f"expected mono WAV, got {data.shape[1]} channels in {path!r}")
+        raw += [(path, rate, channel) for channel in np.atleast_2d(data.T)]  # views, one per channel
 
     durations = [len(d) / r for _, r, d in raw]
     shortest = min(durations)

@@ -66,16 +66,20 @@ class Network:
     def encode(self, X: np.ndarray) -> np.ndarray:
         a = np.asarray(X, dtype=np.float64)
         for w, b, act in zip(self.weights[:2], self.biases[:2], ACTIVATIONS[:2]):
-            a = _act(a @ w + b, act)
+            a = _layer(a, w, b, act)
         return a
 
 
-def _act(z, kind):
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    return z
+def _layer(a, w, b, kind):
+    """``kind`` activation of ``a @ w + b`` in the product's own buffer (the
+    expression ``a @ w + b`` is about 3x slower on a 256x1001 output)."""
+    z = a @ w
+    z += b
+    if kind == "sigmoid":  # 1 / (1 + exp(-z))
+        np.exp(np.negative(z, out=z), out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)
+    return np.tanh(z, out=z) if kind == "tanh" else z
 
 
 def _act_deriv_from_output(a, kind):
@@ -97,7 +101,7 @@ def corrupt(x: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray
     """Additive Gaussian noise of std ``level``; identity at level 0."""
     if level == 0.0:
         return x
-    return x + rng.normal(0.0, level, size=x.shape)
+    return level * rng.standard_normal(x.shape) + x  # the draws and bits of rng.normal(0.0, level)
 
 
 def _forward(weights, biases, activations, x_in, x_target):
@@ -105,7 +109,7 @@ def _forward(weights, biases, activations, x_in, x_target):
     of every layer (input first) and the output error."""
     acts = [np.asarray(x_in, dtype=np.float64)]
     for w, b, kind in zip(weights, biases, activations):
-        acts.append(_act(acts[-1] @ w + b, kind))
+        acts.append(_layer(acts[-1], w, b, kind))
     diff = acts[-1] - x_target
     return float((diff**2).sum() / len(x_in)), acts, diff
 
@@ -178,7 +182,7 @@ def pretrain_stack(X: np.ndarray, cfg: Config, hidden_dim: int) -> Network:
     rng = np.random.default_rng(cfg.seed)
 
     enc1, dec1, losses1 = _train_single_dae(X, hidden_dim, ACTIVATIONS[::3], cfg, rng)
-    codes = _act(X @ enc1[0] + enc1[1], ACTIVATIONS[0])
+    codes = _layer(X, enc1[0], enc1[1], ACTIVATIONS[0])
     enc2, dec2, losses2 = _train_single_dae(codes, cfg.bottleneck_dim, ACTIVATIONS[1:3], cfg, rng)
 
     return Network(

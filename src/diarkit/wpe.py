@@ -142,8 +142,8 @@ def segment_energy(channel: np.ndarray, segments: list[tuple], sample_rate: int)
     segment of the reference channel; short segments are zero-padded up to
     the minimum transform length. An end past the audio by at most
     ``ROUNDING_TOL`` (RTTM's 3-decimal rounding) is clipped to the last
-    sample; a larger overshoot raises ``ValueError``."""
-    channel = np.asarray(channel, dtype=np.float64)
+    sample; a larger overshoot raises ``ValueError``. The channel is read
+    at its own dtype; ``wpt`` converts each segment to float64."""
     block = 1 << DEFAULT_DEPTH
     out = np.empty(len(segments))
     for i, seg in enumerate(segments):

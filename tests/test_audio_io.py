@@ -18,9 +18,16 @@ def sine(freq, rate, dur):
 
 
 def test_resample_identity_passthrough():
-    x = np.linspace(-1, 1, 8000)
-    out = audio_io.resample(x, 8000, 8000)
-    assert np.array_equal(out, x)
+    # At equal rates the channel comes back as it is: no copy, no upcast.
+    for x in (np.linspace(-1, 1, 8000), np.linspace(-1, 1, 8000, dtype=np.float32)):
+        assert audio_io.resample(x, 8000, 8000) is x
+
+
+def test_resample_upcasts_a_real_resample():
+    x = sine(440, 16000, 0.5)
+    y32 = audio_io.resample(x.astype(np.float32), 16000, 8000)
+    assert y32.dtype == np.float64
+    assert y32.tobytes() == audio_io.resample(x.astype(np.float32).astype(np.float64), 16000, 8000).tobytes()
 
 
 def tone_level_db(freq, rate_in, rate_out):
@@ -84,7 +91,8 @@ def test_load_session_int16_scaling(tmp_path):
     wavfile.write(path, rate, x)
     audio = audio_io.load_session([str(path)], target_rate=rate)
     assert audio.channel_count == 1
-    np.testing.assert_allclose(audio.channels[0], x.astype(np.float64) / 32768.0)
+    assert audio.channels[0].dtype == np.float32
+    assert np.array_equal(audio.channels[0].astype(np.float64), x.astype(np.float64) / 32768.0)
 
 
 def test_load_session_multichannel_split(tmp_path):
@@ -94,7 +102,30 @@ def test_load_session_multichannel_split(tmp_path):
     wavfile.write(path, rate, data)
     audio = audio_io.load_session([str(path)], target_rate=rate)
     assert audio.channel_count == 2
-    np.testing.assert_allclose(audio.channels[1], data[:, 1], atol=1e-7)
+    assert np.array_equal(audio.channels[1], data[:, 1])
+
+
+@pytest.mark.parametrize(
+    "stored, loaded, scale",
+    [(np.float32, np.float32, 1.0), (np.int16, np.float32, 32768.0),
+     (np.int32, np.float64, 2147483648.0), (np.float64, np.float64, 1.0)],
+    ids=["float32", "int16", "int32", "float64"],
+)  # fmt: skip
+def test_load_session_keeps_stored_width_exactly(tmp_path, stored, loaded, scale):
+    # Each format loads at the narrowest float type that holds its values
+    # exactly: the int16 file holds all 65536 values.
+    rng = np.random.default_rng(4)
+    if stored == np.int16:
+        data = np.arange(-32768, 32768).astype(stored)
+    elif stored == np.int32:
+        data = np.concatenate([[-(2**31), 2**31 - 1], rng.integers(-(2**31), 2**31, 4000)]).astype(stored)
+    else:
+        data = rng.uniform(-1, 1, 4000).astype(stored)
+    path = tmp_path / "a.wav"
+    wavfile.write(path, 8000, data)
+    (channel,) = audio_io.load_session([str(path)], target_rate=8000).channels
+    assert channel.dtype == loaded
+    assert np.array_equal(channel.astype(np.float64), data.astype(np.float64) / scale)
 
 
 def test_load_session_resamples_parallel_streams(tmp_path):
@@ -259,11 +290,18 @@ def test_session_script_json_missing_voice_fields_take_defaults():
     "field, value",
     [("f0_hz", 0.0), ("f0_hz", -50.0), ("f0_hz", math.nan), ("tilt_db_per_octave", math.inf),
      ("resonances_hz", (math.nan, 1500.0)), ("resonances_hz", (500.0, -1.0)),
-     ("vowel_spread", 1.0), ("f0_jitter", -0.1)],
+     ("vowel_spread", 1.0), ("f0_jitter", -0.1), ("f0_hz", math.inf), ("f0_hz", 0.5), ("f0_jitter", math.nan)],
 )  # fmt: skip
 def test_voice_spec_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         VoiceSpec(**{"f0_hz": 120.0, field: value})
+
+
+def test_voice_spec_floor_applies_to_the_lowest_rendered_f0():
+    # 40 Hz with 50% jitter renders down to 20 Hz, under the floor.
+    with pytest.raises(ValueError, match="f0_hz"):
+        VoiceSpec(f0_hz=40.0, f0_jitter=0.5)
+    VoiceSpec(f0_hz=audio_io.MIN_F0_HZ / 0.5, f0_jitter=0.5)
 
 
 @pytest.mark.parametrize("duration", [-5.0, 0.0, math.nan, math.inf])

@@ -5,6 +5,8 @@ import resource
 import stat
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +52,7 @@ def test_synth_missing_script_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "field, value",
     [("resonances_hz", [float("nan"), 1500.0, 2500.0]), ("tilt_db_per_octave", float("inf")),
-     ("f0_hz", -50.0), ("f0_hz", 0.0), ("f0_hz", float("nan")), ("total_duration_sec", -5.0)],
+     ("f0_hz", -50.0), ("f0_hz", 0.0), ("f0_hz", float("nan")), ("total_duration_sec", -5.0), ("f0_hz", 0.5)],
 )  # fmt: skip
 def test_synth_bad_script_value_exits_1_writing_nothing(script_file, tmp_path, capsys, field, value):
     raw = json.loads(Path(script_file).read_text())
@@ -61,8 +63,24 @@ def test_synth_bad_script_value_exits_1_writing_nothing(script_file, tmp_path, c
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))  # NaN and Infinity as Python's json writes and reads them
     out = tmp_path / "out"
+    t0 = time.perf_counter()  # rendering time grows as 1 / f0: 0.5 Hz took 6.6 s before the floor
     assert cli.main(["synth", str(bad), str(out), "--channels", "1", "--seed", "3"]) == 1
+    assert time.perf_counter() - t0 < 1.0
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_refuses_f0_jittered_under_the_floor_at_once(script_file, tmp_path, capsys):
+    # 40 Hz with 50% jitter renders down to 20 Hz, under the 30 Hz floor.
+    raw = json.loads(Path(script_file).read_text())
+    raw["speakers"][0].update(f0_hz=40.0, f0_jitter=0.5)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    assert cli.main(["synth", str(bad), str(out), "--channels", "1", "--seed", "3"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "f0_hz" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -309,6 +327,26 @@ def test_dominance_rttm_end_rounded_past_audio_end(tmp_path):
     assert cli.main(["dominance", "--hyp", str(hyp_path), "--audio", wav, "--out", str(csv_path)]) == 0
     rows = [line.split(",") for line in csv_path.read_text().split()[1:]]
     assert [row[1] for row in rows] == ["a", "b"]
+
+
+def test_dominance_memory_stays_near_one_float32_copy(tmp_path):
+    # The float32 channel is read once and each segment is converted on its
+    # own, so the traced peak stays near the file's 4 bytes per sample; a
+    # float64 copy of the whole channel alone would add 8.
+    n = 60 * 8000
+    wav = tmp_path / "ch0.wav"
+    wav.write_bytes(audio_io.wav_bytes(np.random.default_rng(2).normal(0.0, 0.1, n), 8000))
+    hyp = DiarizationHypothesis([(2.0 * i, 2.0 * i + 2.0, "ab"[i % 2]) for i in range(30)])
+    hyp_path = tmp_path / "hyp.rttm"
+    hyp_path.write_text(rttm_format(hyp, "s"))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["dominance", "--hyp", str(hyp_path), "--audio", str(wav), "--out", str(tmp_path / "d.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak / n < 9.0, f"{peak / n:.1f} bytes per sample"
 
 
 def test_features_dump_command(synth_dir, tmp_path):

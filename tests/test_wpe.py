@@ -162,3 +162,12 @@ def test_segment_energy_overshoot_beyond_rounding_raises():
     audio = np.zeros(239_997)
     with pytest.raises(ValueError, match="outside"):
         wpe.segment_energy(audio, [(10.0, len(audio) / 8000 + 0.003)], 8000)
+
+
+def test_segment_energy_float32_channel_matches_float64_copy():
+    # A float32 channel is read at its own width; each segment, the short
+    # padded one included, is converted exactly, so energies are bit-identical.
+    audio = np.random.default_rng(10).normal(0.0, 0.1, 24_000).astype(np.float32)
+    segs = [(0.0, 0.004), (0.5, 1.25), (1.25, 3.0)]
+    out32 = wpe.segment_energy(audio, segs, 8000)
+    assert out32.tobytes() == wpe.segment_energy(audio.astype(np.float64), segs, 8000).tobytes()
