@@ -129,11 +129,20 @@ def extract_session_features(
         mask = c0 > np.quantile(c0, 0.15)
     normalized = [features.cmvn(f, mask) for f in raw]
     combined = dataclasses.replace(features.concat_streams(normalized), speech_mask=mask)
+    del raw, normalized
 
-    staged = combined if cfg.feature_kind == "mfcc91" else features.splice(combined, features.SPLICE_FRAMES)
-    if cfg.mode != "no-sad":
-        staged = dataclasses.replace(staged, data=staged.data[mask], speech_mask=None, frame_index=np.flatnonzero(mask))
-
+    if cfg.mode == "no-sad":
+        rows, kept = None, {}
+    else:  # speech rows only, each named by its frame
+        rows = np.flatnonzero(mask)
+        kept = {"speech_mask": None, "frame_index": rows}
+    if cfg.feature_kind == "mfcc91":
+        data = combined.data if rows is None else combined.data[rows]
+    else:
+        # The spliced rows stay lazy: the DAE gathers them a mini-batch at
+        # a time, and only its two full encoder passes build the matrix.
+        data = features.splice(combined, features.SPLICE_FRAMES, rows)
+    staged = dataclasses.replace(combined, data=data, **kept)
     if cfg.feature_kind == "mfcc91":
         return staged, None
 

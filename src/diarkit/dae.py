@@ -98,19 +98,25 @@ def _init_layer(n_in: int, n_out: int, rng: np.random.Generator):
 
 
 def corrupt(x: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
-    """Additive Gaussian noise of std ``level``; identity at level 0."""
+    """Additive Gaussian noise of std ``level``; identity at level 0. The
+    noise is scaled and added in the buffer it is drawn into, with the bits
+    of ``level * z + x`` (and the draws of ``rng.normal(0.0, level)``)."""
     if level == 0.0:
         return x
-    return level * rng.standard_normal(x.shape) + x  # the draws and bits of rng.normal(0.0, level)
+    noisy = rng.standard_normal(x.shape)
+    noisy *= level
+    noisy += x
+    return noisy
 
 
 def _forward(weights, biases, activations, x_in, x_target):
     """Mean (over batch) summed squared reconstruction error, the activations
-    of every layer (input first) and the output error."""
+    of every layer (input first) and the output error. A linear output
+    layer's buffer is overwritten by the error: no derivative reads it."""
     acts = [np.asarray(x_in, dtype=np.float64)]
     for w, b, kind in zip(weights, biases, activations):
         acts.append(_layer(acts[-1], w, b, kind))
-    diff = acts[-1] - x_target
+    diff = np.subtract(acts[-1], x_target, out=acts[-1] if activations[-1] == "linear" else None)
     return float((diff**2).sum() / len(x_in)), acts, diff
 
 
@@ -122,21 +128,25 @@ def loss_and_grads(
     x_target: np.ndarray,
 ):
     """Mean (over batch) summed squared reconstruction error and its
-    gradients for a feed-forward chain of any depth."""
+    gradients for a feed-forward chain of any depth. Each delta is formed in
+    the buffer of the error or product it scales."""
     loss, acts, diff = _forward(weights, biases, activations, x_in, x_target)
     grads_w, grads_b = [], []
-    delta = (2.0 / len(x_in)) * diff
+    delta = np.multiply(2.0 / len(x_in), diff, out=diff)
     if activations[-1] != "linear":
         delta *= _act_deriv_from_output(acts[-1], activations[-1])
     for i in range(len(weights) - 1, -1, -1):
         grads_w.append(acts[i].T @ delta)
         grads_b.append(delta.sum(axis=0))
         if i > 0:
-            delta = (delta @ weights[i].T) * _act_deriv_from_output(acts[i], activations[i - 1])
+            delta = delta @ weights[i].T
+            delta *= _act_deriv_from_output(acts[i], activations[i - 1])
     return loss, grads_w[::-1], grads_b[::-1]
 
 
 def _train_single_dae(X, n_hidden, acts, cfg: Config, rng):
+    """One autoencoder on the rows of ``X``, an array or ``SplicedRows``:
+    each mini-batch and the clean-loss sample are gathered by index."""
     n, n_in = X.shape
     w_enc, b_enc = _init_layer(n_in, n_hidden, rng)
     w_dec, b_dec = _init_layer(n_hidden, n_in, rng)
@@ -176,13 +186,17 @@ def pretrain_stack(X: np.ndarray, cfg: Config, hidden_dim: int) -> Network:
     ``cfg.bottleneck_dim``. Deterministic given ``cfg.seed``; per-epoch clean
     reconstruction losses, measured on a fixed strided sample of the rows,
     are kept on the result.
+
+    ``X`` may be ``features.SplicedRows``: then the whole matrix is built
+    only for the one product that encodes it for the second autoencoder,
+    and dropped after it.
     """
     if len(X) < cfg.batch_size:
         raise ValueError(f"need at least {cfg.batch_size} frames to train (got {len(X)})")
     rng = np.random.default_rng(cfg.seed)
 
     enc1, dec1, losses1 = _train_single_dae(X, hidden_dim, ACTIVATIONS[::3], cfg, rng)
-    codes = _layer(X, enc1[0], enc1[1], ACTIVATIONS[0])
+    codes = _layer(np.asarray(X), enc1[0], enc1[1], ACTIVATIONS[0])
     enc2, dec2, losses2 = _train_single_dae(codes, cfg.bottleneck_dim, ACTIVATIONS[1:3], cfg, rng)
 
     return Network(
@@ -193,7 +207,9 @@ def pretrain_stack(X: np.ndarray, cfg: Config, hidden_dim: int) -> Network:
 
 
 def bottleneck(net: Network, f: FeatureMatrix) -> FeatureMatrix:
-    """Encoder-only forward pass (no corruption at inference)."""
+    """Encoder-only forward pass (no corruption at inference). Lazy
+    ``SplicedRows`` data is built into one matrix for the first layer's
+    product and dropped after it."""
     if f.dim != net.input_dim:
         raise ValueError(f"feature dim {f.dim} does not match network input {net.input_dim}")
     return replace(f, data=net.encode(f.data))

@@ -43,6 +43,10 @@ DEC_HI = SYM6_SCALING * np.power(-1.0, np.arange(len(SYM6_SCALING)))
 DEFAULT_DEPTH = 6
 BAND_HZ = (50.0, 2000.0)  # the speech band whose energy dominance reads
 
+# Output rows per filtering block in ``_analyze``: a 1.5 MB float64 copy of
+# 12-tap windows, whatever the segment length.
+ANALYZE_BLOCK_ROWS = 16384
+
 
 def _analyze(v: np.ndarray, filt: np.ndarray) -> np.ndarray:
     """Periodic correlation with ``filt``, downsampled by 2: returns
@@ -50,13 +54,41 @@ def _analyze(v: np.ndarray, filt: np.ndarray) -> np.ndarray:
 
     The node is extended cyclically by ``len(filt) - 1`` samples
     (``np.resize`` wraps more than once when the node is shorter than the
-    filter) and every second window of it is copied into one contiguous
-    ``(len(v) // 2, len(filt))`` matrix, so a single matrix-vector product
-    does the filtering.
+    filter). Every second window of it is filtered a block of rows at a time
+    (``_row_blocks``): each block is copied into one contiguous
+    ``(rows, len(filt))`` matrix and filtered by one matrix-vector product,
+    so the working copy stays one block, not ``len(filt) / 2`` values per
+    input sample.
     """
-    ext = np.resize(v, len(v) + len(filt) - 1)
-    windows = np.lib.stride_tricks.sliding_window_view(ext, len(filt))[: len(v) - 1 : 2]
-    return np.ascontiguousarray(windows) @ filt
+    taps = len(filt)
+    ext = np.concatenate([v, v[: taps - 1]]) if len(v) >= taps - 1 else np.resize(v, len(v) + taps - 1)
+    # Window k is ext[2k : 2k + taps]: a strided view of ext's buffer
+    # (sliding_window_view takes 20 us a call, about a third of the time on
+    # the many short nodes of a deep tree).
+    windows = np.ndarray((len(v) // 2, taps), ext.dtype, ext, strides=(2 * ext.itemsize, ext.itemsize))
+    out = np.empty(len(windows))
+    for lo, hi in _row_blocks(len(windows)):
+        np.matmul(np.ascontiguousarray(windows[lo:hi]), filt, out=out[lo:hi])
+    return out
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` ranges of ``_analyze``'s products over ``n`` rows:
+    ``ANALYZE_BLOCK_ROWS`` at a time up to the largest multiple of 8, then
+    the last ``n % 8`` rows (9 when that is 1 and ``n > 8``).
+
+    OpenBLAS's matrix-vector kernel rounds a row differently in its 4-row
+    main loop and in its tail, and splits a product of 768 rows or more in
+    halves at 2 threads; numpy hands a 1-row product to a dot kernel. So
+    every part, and every half of one, ends on a multiple of 4 rows except
+    at ``n``: the bits are those of one single-threaded product over all
+    rows, at 1 or 2 threads, where one product over a long node gets a tail
+    wherever the thread split falls.
+    """
+    tail = n % 8 + (8 if n % 8 == 1 and n > 8 else 0)
+    body = n - tail
+    edges = [*range(0, body, ANALYZE_BLOCK_ROWS), body, n]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
 def _synthesize(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,8 +33,51 @@ def test_filter_bank_orthonormality():
         assert abs(np.dot(lo[2 * m :], hi[: -2 * m])) < 1e-12
 
 
+# Node lengths of one and three filtering blocks plus 0, 1, 5 or 7 rows
+# past a multiple of 8 (1 joins the 8 before it), odd lengths included.
+_BLOCK = 2 * wpe.ANALYZE_BLOCK_ROWS
+LONG_NODES = (_BLOCK - 1, _BLOCK, _BLOCK + 2, _BLOCK + 3, 3 * _BLOCK + 14, 3 * _BLOCK + 18, 3 * _BLOCK + 251)
+
+_ANALYZE_IN_CHILD = """
+import sys
+import numpy as np
+from diarkit import wpe
+def gather(v, filt):
+    idx = (2 * np.arange(len(v) // 2)[:, None] + np.arange(len(filt))[None, :]) % len(v)
+    return v[idx] @ filt
+how = gather if sys.argv[2] == "gather" else wpe._analyze
+v = np.load(sys.argv[1])
+lengths = [int(n) for n in sys.argv[4:]]
+np.savez(sys.argv[3], **{f"{k}{n}": how(v[:n], f) for n in lengths for k, f in (("lo", wpe.DEC_LO), ("hi", wpe.DEC_HI))})
+"""
+
+
+def _analyze_in_children(tmp_path, runs):
+    """``{(how, threads): npz}`` of ``_analyze`` or the gather reference
+    over ``LONG_NODES``, each run in a child at that OpenBLAS thread count."""
+    v = np.random.default_rng(17).normal(size=max(LONG_NODES))
+    np.save(tmp_path / "v.npy", v)
+    src = os.path.dirname(os.path.dirname(wpe.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    children = {
+        (how, threads): subprocess.Popen(
+            [sys.executable, "-c", _ANALYZE_IN_CHILD, str(tmp_path / "v.npy"), how,
+             str(tmp_path / f"{how}{threads}.npz"), *map(str, LONG_NODES)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath),
+        )
+        for how, threads in runs
+    }
+    try:
+        for run, child in children.items():
+            assert child.wait(timeout=120) == 0, f"child {run} failed"
+    finally:
+        for child in children.values():
+            child.kill()
+    return {run: np.load(tmp_path / f"{run[0]}{run[1]}.npz") for run in children}
+
+
 @pytest.mark.parametrize("filt", [wpe.DEC_LO, wpe.DEC_HI], ids=["lo", "hi"])
-def test_analyze_bit_identical_to_gather(filt):
+def test_analyze_bit_identical_to_gather(filt, tmp_path):
     rng = np.random.default_rng(7)
     for n in [*range(2, 131, 2), 4096, 5056]:
         v = rng.normal(size=n)
@@ -39,6 +87,42 @@ def test_analyze_bit_identical_to_gather(filt):
         out = wpe._analyze(v, filt)
         assert len(out) == n // 2
         assert out.tobytes() == _gather_analyze(v, filt).tobytes(), n
+    # Long nodes: one gather product of 768 rows or more is split between
+    # OpenBLAS threads, so the reference is taken at one thread.
+    name = "lo" if filt is wpe.DEC_LO else "hi"
+    reference = _analyze_in_children(tmp_path, [("gather", "1")])[("gather", "1")]
+    v = np.random.default_rng(17).normal(size=max(LONG_NODES))
+    for n in LONG_NODES:
+        out = wpe._analyze(v[:n], filt)
+        assert len(out) == n // 2
+        assert out.tobytes() == reference[f"{name}{n}"].tobytes(), n
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores to run OpenBLAS with two threads")
+def test_analyze_independent_of_blas_threads(tmp_path):
+    # The filtering blocks end on multiples of 4 rows, so a thread split
+    # never moves a row into OpenBLAS's tail loop: the coefficients at 1 and
+    # 2 threads are those of one single-threaded product.
+    runs = _analyze_in_children(tmp_path, [("gather", "1"), ("analyze", "1"), ("analyze", "2")])
+    reference = runs[("gather", "1")]
+    for run in (("analyze", "1"), ("analyze", "2")):
+        for key in reference.files:
+            assert runs[run][key].tobytes() == reference[key].tobytes(), (run, key)
+
+
+def test_segment_energy_working_memory_is_bounded():
+    # A 60 s float32 segment at 8 kHz: the float64 copy, two levels of
+    # nodes and one cyclic extension, plus one filtering block. Copying
+    # every window of a node at once took 80 bytes per sample.
+    rate = 8000
+    channel = np.random.default_rng(9).normal(size=60 * rate).astype(np.float32)
+    tracemalloc.start()
+    try:
+        wpe.segment_energy(channel, [(0.0, 60.0)], rate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(channel) < 40.0, f"{peak / len(channel):.1f} bytes per sample"
 
 
 def test_segment_energy_bit_identical_to_gather_tree(monkeypatch):
