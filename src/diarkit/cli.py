@@ -138,16 +138,16 @@ def extract_session_features(
         kept = {"speech_mask": None, "frame_index": rows}
     if cfg.feature_kind == "mfcc91":
         data = combined.data if rows is None else combined.data[rows]
-    else:
-        # The spliced rows stay lazy: the DAE gathers them a mini-batch at
-        # a time, and only its two full encoder passes build the matrix.
+    else:  # only the kept rows are spliced
         data = features.splice(combined, features.SPLICE_FRAMES, rows)
     staged = dataclasses.replace(combined, data=data, **kept)
     if cfg.feature_kind == "mfcc91":
         return staged, None
 
+    hidden_dim = combined.dim
+    del combined  # all frames: training reads the staged rows only
     if net is None:
-        net = dae.pretrain_stack(staged.data, cfg, hidden_dim=combined.dim)
+        net = dae.pretrain_stack(staged.data, cfg, hidden_dim=hidden_dim)
     elif (net.input_dim, net.bottleneck_dim) != (staged.dim, cfg.bottleneck_dim):
         raise UsageError(
             f"stored network maps {net.input_dim} -> {net.bottleneck_dim} dims; "

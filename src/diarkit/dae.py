@@ -110,14 +110,14 @@ def corrupt(x: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray
 
 
 def _forward(weights, biases, activations, x_in, x_target):
-    """Mean (over batch) summed squared reconstruction error, the activations
-    of every layer (input first) and the output error. A linear output
-    layer's buffer is overwritten by the error: no derivative reads it."""
+    """The activations of every layer (input first) and the output error. A
+    linear output layer's buffer is overwritten by the error: no derivative
+    reads it."""
     acts = [np.asarray(x_in, dtype=np.float64)]
     for w, b, kind in zip(weights, biases, activations):
         acts.append(_layer(acts[-1], w, b, kind))
     diff = np.subtract(acts[-1], x_target, out=acts[-1] if activations[-1] == "linear" else None)
-    return float((diff**2).sum() / len(x_in)), acts, diff
+    return acts, diff
 
 
 def loss_and_grads(
@@ -130,7 +130,8 @@ def loss_and_grads(
     """Mean (over batch) summed squared reconstruction error and its
     gradients for a feed-forward chain of any depth. Each delta is formed in
     the buffer of the error or product it scales."""
-    loss, acts, diff = _forward(weights, biases, activations, x_in, x_target)
+    acts, diff = _forward(weights, biases, activations, x_in, x_target)
+    loss = float((diff**2).sum() / len(x_in))
     grads_w, grads_b = [], []
     delta = np.multiply(2.0 / len(x_in), diff, out=diff)
     if activations[-1] != "linear":
@@ -145,8 +146,6 @@ def loss_and_grads(
 
 
 def _train_single_dae(X, n_hidden, acts, cfg: Config, rng):
-    """One autoencoder on the rows of ``X``, an array or ``SplicedRows``:
-    each mini-batch and the clean-loss sample are gathered by index."""
     n, n_in = X.shape
     w_enc, b_enc = _init_layer(n_in, n_hidden, rng)
     w_dec, b_dec = _init_layer(n_hidden, n_in, rng)
@@ -156,8 +155,9 @@ def _train_single_dae(X, n_hidden, acts, cfg: Config, rng):
 
     sample = X[:: max(1, n // CLEAN_LOSS_ROWS)]
 
-    def clean_loss():
-        return _forward(weights, biases, acts, sample, sample)[0]
+    def clean_loss():  # the loss of loss_and_grads, squared in the error's buffer
+        diff = _forward(weights, biases, acts, sample, sample)[1]
+        return float(np.square(diff, out=diff).sum() / len(sample))
 
     losses = [clean_loss()]
     for epoch in range(cfg.epochs):
@@ -176,6 +176,7 @@ def _train_single_dae(X, n_hidden, acts, cfg: Config, rng):
                 vel_b[i] = MOMENTUM * vel_b[i] - cfg.learning_rate * gb[i]
                 weights[i] += vel_w[i]
                 biases[i] += vel_b[i]
+            del gw, gb  # not held through the next step's forward pass
         losses.append(clean_loss())
     return (w_enc, b_enc), (w_dec, b_dec), losses
 
@@ -186,17 +187,13 @@ def pretrain_stack(X: np.ndarray, cfg: Config, hidden_dim: int) -> Network:
     ``cfg.bottleneck_dim``. Deterministic given ``cfg.seed``; per-epoch clean
     reconstruction losses, measured on a fixed strided sample of the rows,
     are kept on the result.
-
-    ``X`` may be ``features.SplicedRows``: then the whole matrix is built
-    only for the one product that encodes it for the second autoencoder,
-    and dropped after it.
     """
     if len(X) < cfg.batch_size:
         raise ValueError(f"need at least {cfg.batch_size} frames to train (got {len(X)})")
     rng = np.random.default_rng(cfg.seed)
 
     enc1, dec1, losses1 = _train_single_dae(X, hidden_dim, ACTIVATIONS[::3], cfg, rng)
-    codes = _layer(np.asarray(X), enc1[0], enc1[1], ACTIVATIONS[0])
+    codes = _layer(X, enc1[0], enc1[1], ACTIVATIONS[0])
     enc2, dec2, losses2 = _train_single_dae(codes, cfg.bottleneck_dim, ACTIVATIONS[1:3], cfg, rng)
 
     return Network(
@@ -207,9 +204,7 @@ def pretrain_stack(X: np.ndarray, cfg: Config, hidden_dim: int) -> Network:
 
 
 def bottleneck(net: Network, f: FeatureMatrix) -> FeatureMatrix:
-    """Encoder-only forward pass (no corruption at inference). Lazy
-    ``SplicedRows`` data is built into one matrix for the first layer's
-    product and dropped after it."""
+    """Encoder-only forward pass (no corruption at inference)."""
     if f.dim != net.input_dim:
         raise ValueError(f"feature dim {f.dim} does not match network input {net.input_dim}")
     return replace(f, data=net.encode(f.data))

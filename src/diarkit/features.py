@@ -26,64 +26,23 @@ SPLICE_FRAMES = 5
 
 
 @dataclass
-class SplicedRows:
-    """Lazy ``(len(rows), (2 * context + 1) * dim)`` matrix: row ``i`` is
-    frame ``rows[i]`` of ``frames`` stacked with ``context`` frames on either
-    side, the edge frame replicated where context is missing.
-
-    Indexing with an index array, a slice or an integer gathers just those
-    spliced rows, and ``np.asarray`` gathers all of them; each row holds the
-    same bits as the row of a materialized splice. One float64 row of 7
-    spliced 13-MFCC channels is 8 KB, so a pipeline that keeps only what it
-    reads gathers a mini-batch at a time.
-    """
-
-    frames: np.ndarray  # (n_frames, dim), float64
-    context: int
-    rows: np.ndarray  # frame index of each row
-
-    ndim = 2
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), (2 * self.context + 1) * self.frames.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, key) -> np.ndarray:
-        centers = self.rows[key]
-        offsets = np.arange(-self.context, self.context + 1)
-        idx = np.clip(np.expand_dims(centers, -1) + offsets, 0, len(self.frames) - 1)
-        return self.frames[idx].reshape(*np.shape(centers), self.shape[1])
-
-    def __array__(self, dtype=None, copy=None):
-        out = self[:]
-        return out if dtype is None else out.astype(dtype, copy=False)
-
-
-@dataclass
 class FeatureMatrix:
     """frames x dim matrix, framed by the ``hop_sec`` and ``window_sec`` of a ``Config``.
 
     ``speech_mask`` marks speech frames (None means unknown/all speech).
     ``frame_index`` maps rows back to original frame indices after
-    speech-only filtering; None means the identity map. ``data`` may be
-    ``SplicedRows``, which stay lazy: their frames come from a checked
-    matrix.
+    speech-only filtering; None means the identity map.
     """
 
-    data: np.ndarray | SplicedRows
+    data: np.ndarray
     speech_mask: np.ndarray | None = None
     frame_index: np.ndarray | None = None
 
     def __post_init__(self):
-        lazy = isinstance(self.data, SplicedRows)
-        if not lazy:
-            self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2 or self.data.shape[0] == 0:
             raise ValueError("feature matrix must be 2-D with at least one frame")
-        if not lazy and not np.isfinite(self.data).all():
+        if not np.isfinite(self.data).all():
             raise ValueError("feature matrix contains non-finite values")
 
     @property
@@ -164,12 +123,15 @@ def concat_streams(per_channel: list[FeatureMatrix]) -> FeatureMatrix:
     return replace(first, data=np.hstack([f.data for f in per_channel]))
 
 
-def splice(f: FeatureMatrix, context: int, rows: np.ndarray | None = None) -> SplicedRows:
-    """Each frame of ``rows`` (default: every frame) stacked with ``context``
-    frames on either side, replicating the edge frame where context is
-    missing. The rows are gathered when read, not here."""
-    rows = np.arange(f.n_frames) if rows is None else np.asarray(rows, dtype=np.intp)
-    return SplicedRows(f.data, context, rows)
+def splice(f: FeatureMatrix, context: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """Frames ``rows`` of ``f`` (default: every frame), each stacked with
+    ``context`` frames on either side, replicating the edge frame where
+    context is missing. Only the rows asked for are built: one float64 row
+    of 7 spliced 13-MFCC channels is 8 KB."""
+    n = f.n_frames
+    centers = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    idx = np.clip(centers[:, None] + np.arange(-context, context + 1), 0, n - 1)
+    return f.data[idx].reshape(len(centers), idx.shape[1] * f.dim)
 
 
 def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple[float, float]], cfg: Config) -> np.ndarray:

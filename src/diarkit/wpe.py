@@ -61,7 +61,7 @@ def _analyze(v: np.ndarray, filt: np.ndarray) -> np.ndarray:
     input sample.
     """
     taps = len(filt)
-    ext = np.concatenate([v, v[: taps - 1]]) if len(v) >= taps - 1 else np.resize(v, len(v) + taps - 1)
+    ext = np.resize(v, len(v) + taps - 1)
     # Window k is ext[2k : 2k + taps]: a strided view of ext's buffer
     # (sliding_window_view takes 20 us a call, about a third of the time on
     # the many short nodes of a deep tree).

@@ -9,7 +9,7 @@ import pytest
 from diarkit import dae
 from diarkit.config import Config
 from diarkit.dae import bottleneck, corrupt, load_network, network_bytes, pretrain_stack
-from diarkit.features import FeatureMatrix, splice
+from diarkit.features import FeatureMatrix
 
 
 def random_network(input_dim, hidden_dim, bottleneck_dim, seed):
@@ -44,22 +44,6 @@ def test_corrupt_has_the_bits_of_scaled_draws_plus_input():
     noisy = corrupt(x, 0.3, np.random.default_rng(4))
     assert noisy.tobytes() == (0.3 * np.random.default_rng(4).standard_normal(x.shape) + x).tobytes()
     assert noisy is not x
-
-
-def test_pretrain_on_spliced_rows_equals_pretrain_on_their_matrix():
-    # The lazy rows gather each mini-batch and the clean-loss sample (here
-    # every 2nd of about 1120 rows) by index; training must not tell them
-    # from the materialized matrix.
-    rng = np.random.default_rng(6)
-    f = FeatureMatrix(rng.normal(size=(1400, 4)))
-    view = splice(f, 2, np.flatnonzero(rng.random(1400) < 0.8))
-    cfg = Config(epochs=2, batch_size=64, seed=2, bottleneck_dim=3)
-    lazy = pretrain_stack(view, cfg, hidden_dim=6)
-    dense = pretrain_stack(np.asarray(view), cfg, hidden_dim=6)
-    assert network_bytes(lazy) == network_bytes(dense)
-    assert lazy.train_losses == dense.train_losses
-    codes = bottleneck(lazy, FeatureMatrix(view)).data
-    assert codes.tobytes() == bottleneck(dense, FeatureMatrix(np.asarray(view))).data.tobytes()
 
 
 def test_gradients_match_finite_differences():

@@ -100,9 +100,10 @@ def test_analyze_bit_identical_to_gather(filt, tmp_path):
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores to run OpenBLAS with two threads")
 def test_analyze_independent_of_blas_threads(tmp_path):
-    # The filtering blocks end on multiples of 4 rows, so a thread split
-    # never moves a row into OpenBLAS's tail loop: the coefficients at 1 and
-    # 2 threads are those of one single-threaded product.
+    # Every filtering block but the last ends on a multiple of 8 rows, so
+    # both halves of a two-thread split end on a multiple of 4 and no row
+    # moves into OpenBLAS's tail loop: the coefficients at 1 and 2 threads
+    # are those of one single-threaded product.
     runs = _analyze_in_children(tmp_path, [("gather", "1"), ("analyze", "1"), ("analyze", "2")])
     reference = runs[("gather", "1")]
     for run in (("analyze", "1"), ("analyze", "2")):
