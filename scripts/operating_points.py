@@ -22,6 +22,8 @@ from diarkit.diarizer import diarize
 
 
 def session(duration):
+    """Criterion 1's session, ``duration`` seconds long: (audio, reference,
+    oracle SAD segments). The acceptance and feature tests build it here."""
     script = audio_io.demo_script(4, duration, seed=21, turn_range=(2.0, 6.0), gap_range=(0.3, 0.8))
     delays = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 2.5]
     gains = [1.0, 0.95, 0.9, 0.8, 0.7, 0.6, 0.5]

@@ -3,7 +3,9 @@
 Full packet tree over a 12-tap Symlet-6 orthonormal filter bank. The signal
 is zero-padded to a multiple of 2**depth and the tree uses periodized
 convolutions, so the transform is exactly orthonormal: coefficient energy
-equals sample energy and the inverse is the adjoint.
+equals sample energy and the inverse is the adjoint. Only the forward
+transform is needed here; the inverse lives in the tests, as the oracle of
+the round-trip check.
 
 Leaves are kept in natural frequency order. The raw low/high recursion
 produces Paley order, where every descent through a high-pass band mirrors
@@ -43,10 +45,6 @@ DEC_HI = SYM6_SCALING * np.power(-1.0, np.arange(len(SYM6_SCALING)))
 DEFAULT_DEPTH = 6
 BAND_HZ = (50.0, 2000.0)  # the speech band whose energy dominance reads
 
-# Output rows per filtering block in ``_analyze``: a 1.5 MB float64 copy of
-# 12-tap windows, whatever the segment length.
-ANALYZE_BLOCK_ROWS = 16384
-
 
 def _analyze(v: np.ndarray, filt: np.ndarray) -> np.ndarray:
     """Periodic correlation with ``filt``, downsampled by 2: returns
@@ -54,51 +52,17 @@ def _analyze(v: np.ndarray, filt: np.ndarray) -> np.ndarray:
 
     The node is extended cyclically by ``len(filt) - 1`` samples
     (``np.resize`` wraps more than once when the node is shorter than the
-    filter). Every second window of it is filtered a block of rows at a time
-    (``_row_blocks``): each block is copied into one contiguous
-    ``(rows, len(filt))`` matrix and filtered by one matrix-vector product,
-    so the working copy stays one block, not ``len(filt) / 2`` values per
-    input sample.
+    filter), and window k is ``ext[2k : 2k + len(filt)]``: a strided view of
+    ext's buffer, which no BLAS routine takes, so numpy's own product loop
+    filters it without a copy, on one thread, summing the taps in order. A
+    1-row node goes through numpy's dot.
     """
     taps = len(filt)
     ext = np.resize(v, len(v) + taps - 1)
-    # Window k is ext[2k : 2k + taps]: a strided view of ext's buffer
-    # (sliding_window_view takes 20 us a call, about a third of the time on
-    # the many short nodes of a deep tree).
+    # sliding_window_view takes 20 us a call, about a third of the time on
+    # the many short nodes of a deep tree.
     windows = np.ndarray((len(v) // 2, taps), ext.dtype, ext, strides=(2 * ext.itemsize, ext.itemsize))
-    out = np.empty(len(windows))
-    for lo, hi in _row_blocks(len(windows)):
-        np.matmul(np.ascontiguousarray(windows[lo:hi]), filt, out=out[lo:hi])
-    return out
-
-
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """``[lo, hi)`` ranges of ``_analyze``'s products over ``n`` rows:
-    ``ANALYZE_BLOCK_ROWS`` at a time up to the largest multiple of 8, then
-    the last ``n % 8`` rows (9 when that is 1 and ``n > 8``).
-
-    OpenBLAS's matrix-vector kernel rounds a row differently in its 4-row
-    main loop and in its tail, and splits a product of 768 rows or more in
-    halves at 2 threads; numpy hands a 1-row product to a dot kernel. So
-    every part, and every half of one, ends on a multiple of 4 rows except
-    at ``n``: the bits are those of one single-threaded product over all
-    rows, at 1 or 2 threads, where one product over a long node gets a tail
-    wherever the thread split falls.
-    """
-    tail = n % 8 + (8 if n % 8 == 1 and n > 8 else 0)
-    body = n - tail
-    edges = [*range(0, body, ANALYZE_BLOCK_ROWS), body, n]
-    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-
-
-def _synthesize(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Adjoint of ``_analyze`` for the low/high pair."""
-    n = 2 * len(lo)
-    out = np.zeros(n)
-    for coeffs, filt in ((lo, DEC_LO), (hi, DEC_HI)):
-        idx = (2 * np.arange(len(coeffs))[:, None] + np.arange(len(filt))[None, :]) % n
-        np.add.at(out, idx, coeffs[:, None] * filt[None, :])
-    return out
+    return np.matmul(windows, filt)
 
 
 def _gray(k: int) -> int:
@@ -111,15 +75,11 @@ class WptTree:
 
     depth: int
     leaves: list[np.ndarray]  # frequency order, low band first
-    n_samples: int  # original length before padding
     sample_rate: int
 
     @property
     def n_leaves(self) -> int:
         return 1 << self.depth
-
-    def total_energy(self) -> float:
-        return float(sum(np.dot(leaf, leaf) for leaf in self.leaves))
 
 
 def wpt(signal: np.ndarray, sample_rate: int, depth: int = DEFAULT_DEPTH) -> WptTree:
@@ -128,7 +88,6 @@ def wpt(signal: np.ndarray, sample_rate: int, depth: int = DEFAULT_DEPTH) -> Wpt
     block = 1 << depth
     if len(signal) < block:
         raise ValueError(f"signal too short for depth {depth}: {len(signal)} < {block} samples")
-    n_orig = len(signal)
     pad = (-len(signal)) % block
     if pad:
         signal = np.concatenate([signal, np.zeros(pad)])
@@ -136,23 +95,7 @@ def wpt(signal: np.ndarray, sample_rate: int, depth: int = DEFAULT_DEPTH) -> Wpt
     for _ in range(depth):
         nodes = [child for v in nodes for child in (_analyze(v, DEC_LO), _analyze(v, DEC_HI))]
     leaves = [nodes[_gray(k)] for k in range(block)]
-    return WptTree(depth=depth, leaves=leaves, n_samples=n_orig, sample_rate=sample_rate)
-
-
-def inverse_wpt(tree: WptTree) -> np.ndarray:
-    nodes = [tree.leaves[_gray_inverse(p)] for p in range(tree.n_leaves)]
-    for _ in range(tree.depth):
-        nodes = [_synthesize(nodes[i], nodes[i + 1]) for i in range(0, len(nodes), 2)]
-    return nodes[0][: tree.n_samples]
-
-
-def _gray_inverse(p: int) -> int:
-    # position in frequency order of the Paley-order node p
-    k = 0
-    while p:
-        k ^= p
-        p >>= 1
-    return k
+    return WptTree(depth=depth, leaves=leaves, sample_rate=sample_rate)
 
 
 def band_energy(tree: WptTree, f_lo: float = BAND_HZ[0], f_hi: float = BAND_HZ[1]) -> float:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diarkit import audio_io, cli, dae, scoring
+from diarkit import audio_io, cli, dae, dominance, scoring, wpe
 from diarkit.audio_io import SessionScript, VoiceSpec
 from diarkit.config import Config
 from diarkit.segments import DiarizationHypothesis, rttm_format, rttm_read
@@ -327,6 +327,34 @@ def test_dominance_rttm_end_rounded_past_audio_end(tmp_path):
     assert cli.main(["dominance", "--hyp", str(hyp_path), "--audio", wav, "--out", str(csv_path)]) == 0
     rows = [line.split(",") for line in csv_path.read_text().split()[1:]]
     assert [row[1] for row in rows] == ["a", "b"]
+
+
+def test_dominance_at_16k_is_the_library_report(tmp_path):
+    # At 16 kHz the 64 leaves are 125 Hz wide, so the 50-2000 Hz band is
+    # leaves 0-15; the CSV is the library's report on the same samples.
+    rate = 16000
+    script = SessionScript(
+        speakers=[VoiceSpec(f0_hz=110), VoiceSpec(f0_hz=170)],
+        events=[(i % 2, 2.0 * i + 0.2, 1.6) for i in range(20)],
+        total_duration_sec=40.0,
+    )
+    audio, ref = audio_io.synth_session(script, 1, [0.0], [1.0], 25.0, seed=5, rate=rate)
+    ch0 = audio.channels[0].astype(np.float32)
+    wav = tmp_path / "ch0.wav"
+    wav.write_bytes(audio_io.wav_bytes(ch0, rate))
+    hyp_path = tmp_path / "ref.rttm"
+    hyp_path.write_text(rttm_format(ref, "ref"))
+    csv_path = tmp_path / "dom.csv"
+    argv = ["dominance", "--hyp", str(hyp_path), "--audio", str(wav), "--rate", "16000", "--segment-len", "10"]
+    assert cli.main([*argv, "--out", str(csv_path)]) == 0
+    hyp = rttm_read(str(hyp_path))
+    energies = wpe.segment_energy(ch0, hyp.segments, rate)
+    report = dominance.dominance_report(hyp, energies, segment_len_sec=10.0, session_duration_sec=len(ch0) / rate)
+    assert report.n_segments == 4
+    assert csv_path.read_bytes() == report.to_csv().encode()
+    start, end = hyp.segments[0][:2]
+    tree = wpe.wpt(ch0[round(start * rate) : round(end * rate)], rate)
+    assert energies[0] == sum(float(np.dot(leaf, leaf)) for leaf in tree.leaves[:16])
 
 
 def test_dominance_memory_stays_near_one_float32_copy(tmp_path):

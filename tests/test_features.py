@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diarkit import audio_io, cli, features
+from diarkit import cli, features
 from diarkit.audio_io import MultiStreamAudio
 from diarkit.config import Config
 from diarkit.features import FeatureMatrix, cmvn, concat_streams, mfcc, splice
+from operating_points import session
 
 
 def reference_mfcc(signal, rate=8000):
@@ -332,13 +333,11 @@ def test_session_feature_stack_peak_memory():
     # float64 matrix plus the four mini-batch buffers of a training step
     # (1.53x at 2669 rows); building the all-frames matrix and its
     # speech-rows copy took 2.66x.
-    script = audio_io.demo_script(4, 30.0, seed=21, turn_range=(2.0, 6.0), gap_range=(0.3, 0.8))
-    delays, gains = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 2.5], [1.0, 0.95, 0.9, 0.8, 0.7, 0.6, 0.5]
-    audio, _ = audio_io.synth_session(script, 7, delays, gains, noise_snr_db=15.0, seed=7, rate=8000)
+    audio, _, sad = session(30.0)
     cfg = Config(seed=3)
     tracemalloc.start()
     try:
-        feats, _ = cli.extract_session_features(audio, audio_io.sad_from_script(script), cfg)
+        feats, _ = cli.extract_session_features(audio, sad, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -13,11 +13,53 @@ def tone(freq, n=4096, rate=8000):
     return np.sin(2 * np.pi * freq * np.arange(n) / rate)
 
 
-def _gather_analyze(v, filt):
-    """Reference ``_analyze``: gather the periodic windows by index."""
-    n = len(v)
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(len(filt))[None, :]) % n
-    return v[idx] @ filt
+def _tap_order_analyze(v, filt):
+    """Reference ``_analyze``: the cyclic extension gathered by index, then
+    the taps summed in order, one strided pass per tap, starting from zeros.
+    A 1-row node is numpy's dot of its one window, as in ``_analyze``."""
+    m, taps = len(v) // 2, len(filt)
+    ext = v[np.arange(len(v) + taps - 1) % len(v)]
+    if m == 1:
+        return np.array([ext[:taps] @ filt])
+    acc = np.zeros(m)
+    for j in range(taps):
+        acc = acc + ext[j : j + 2 * m : 2] * filt[j]
+    return acc
+
+
+# --------------------------------------------- the inverse transform (oracle)
+
+
+def _synthesize(lo, hi):
+    """Adjoint of ``_analyze`` for the low/high pair."""
+    n = 2 * len(lo)
+    out = np.zeros(n)
+    for coeffs, filt in ((lo, wpe.DEC_LO), (hi, wpe.DEC_HI)):
+        idx = (2 * np.arange(len(coeffs))[:, None] + np.arange(len(filt))[None, :]) % n
+        np.add.at(out, idx, coeffs[:, None] * filt[None, :])
+    return out
+
+
+def _gray_inverse(p):
+    # position in frequency order of the Paley-order node p
+    k = 0
+    while p:
+        k ^= p
+        p >>= 1
+    return k
+
+
+def inverse_wpt(tree):
+    """The signal ``tree`` was built from, with the transform's zero padding
+    up to a multiple of 2**depth samples."""
+    nodes = [tree.leaves[_gray_inverse(p)] for p in range(tree.n_leaves)]
+    for _ in range(tree.depth):
+        nodes = [_synthesize(nodes[i], nodes[i + 1]) for i in range(0, len(nodes), 2)]
+    return nodes[0]
+
+
+def total_energy(tree):
+    return float(sum(np.dot(leaf, leaf) for leaf in tree.leaves))
 
 
 def test_filter_bank_orthonormality():
@@ -33,88 +75,87 @@ def test_filter_bank_orthonormality():
         assert abs(np.dot(lo[2 * m :], hi[: -2 * m])) < 1e-12
 
 
-# Node lengths of one and three filtering blocks plus 0, 1, 5 or 7 rows
-# past a multiple of 8 (1 joins the 8 before it), odd lengths included.
-_BLOCK = 2 * wpe.ANALYZE_BLOCK_ROWS
-LONG_NODES = (_BLOCK - 1, _BLOCK, _BLOCK + 2, _BLOCK + 3, 3 * _BLOCK + 14, 3 * _BLOCK + 18, 3 * _BLOCK + 251)
+# Long nodes, odd lengths included, each far past the 768 rows at which
+# OpenBLAS splits a matrix-vector product between two threads.
+LONG_NODES = (32767, 32768, 32770, 32771, 98318, 98322, 98555)
 
 _ANALYZE_IN_CHILD = """
 import sys
 import numpy as np
 from diarkit import wpe
-def gather(v, filt):
-    idx = (2 * np.arange(len(v) // 2)[:, None] + np.arange(len(filt))[None, :]) % len(v)
-    return v[idx] @ filt
-how = gather if sys.argv[2] == "gather" else wpe._analyze
 v = np.load(sys.argv[1])
-lengths = [int(n) for n in sys.argv[4:]]
-np.savez(sys.argv[3], **{f"{k}{n}": how(v[:n], f) for n in lengths for k, f in (("lo", wpe.DEC_LO), ("hi", wpe.DEC_HI))})
+lengths = [int(n) for n in sys.argv[3:]]
+np.savez(sys.argv[2], **{f"{k}{n}": wpe._analyze(v[:n], f) for n in lengths for k, f in (("lo", wpe.DEC_LO), ("hi", wpe.DEC_HI))})
 """
 
 
-def _analyze_in_children(tmp_path, runs):
-    """``{(how, threads): npz}`` of ``_analyze`` or the gather reference
-    over ``LONG_NODES``, each run in a child at that OpenBLAS thread count."""
-    v = np.random.default_rng(17).normal(size=max(LONG_NODES))
-    np.save(tmp_path / "v.npy", v)
+def _long_node_signal():
+    return np.random.default_rng(17).normal(size=max(LONG_NODES))
+
+
+def _analyze_in_children(tmp_path, thread_counts):
+    """``{threads: npz}`` of ``_analyze`` over ``LONG_NODES``, each run in a
+    child at that OpenBLAS thread count."""
+    np.save(tmp_path / "v.npy", _long_node_signal())
     src = os.path.dirname(os.path.dirname(wpe.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     children = {
-        (how, threads): subprocess.Popen(
-            [sys.executable, "-c", _ANALYZE_IN_CHILD, str(tmp_path / "v.npy"), how,
-             str(tmp_path / f"{how}{threads}.npz"), *map(str, LONG_NODES)],
+        threads: subprocess.Popen(
+            [sys.executable, "-c", _ANALYZE_IN_CHILD, str(tmp_path / "v.npy"),
+             str(tmp_path / f"analyze{threads}.npz"), *map(str, LONG_NODES)],
             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath),
         )
-        for how, threads in runs
+        for threads in thread_counts
     }
     try:
-        for run, child in children.items():
-            assert child.wait(timeout=120) == 0, f"child {run} failed"
+        for threads, child in children.items():
+            assert child.wait(timeout=120) == 0, f"child at {threads} threads failed"
     finally:
         for child in children.values():
             child.kill()
-    return {run: np.load(tmp_path / f"{run[0]}{run[1]}.npz") for run in children}
+    return {threads: np.load(tmp_path / f"analyze{threads}.npz") for threads in children}
 
 
 @pytest.mark.parametrize("filt", [wpe.DEC_LO, wpe.DEC_HI], ids=["lo", "hi"])
-def test_analyze_bit_identical_to_gather(filt, tmp_path):
+def test_analyze_bit_identical_to_gather(filt):
     rng = np.random.default_rng(7)
-    for n in [*range(2, 131, 2), 4096, 5056]:
-        v = rng.normal(size=n)
-        assert wpe._analyze(v, filt).tobytes() == _gather_analyze(v, filt).tobytes(), n
-    for n in (1, 3, 5, 11, 13, 25, 4097):
+    for n in [*range(4, 131, 2), 4096, 5056, 5, 11, 13, 25, 4097]:
         v = rng.normal(size=n)
         out = wpe._analyze(v, filt)
         assert len(out) == n // 2
-        assert out.tobytes() == _gather_analyze(v, filt).tobytes(), n
-    # Long nodes: one gather product of 768 rows or more is split between
-    # OpenBLAS threads, so the reference is taken at one thread.
-    name = "lo" if filt is wpe.DEC_LO else "hi"
-    reference = _analyze_in_children(tmp_path, [("gather", "1")])[("gather", "1")]
-    v = np.random.default_rng(17).normal(size=max(LONG_NODES))
+        assert out.tobytes() == _tap_order_analyze(v, filt).tobytes(), n
+    # A node of 2 or 3 samples has one window, which numpy's dot filters.
+    for n in (2, 3):
+        v = rng.normal(size=n)
+        window = np.resize(v, n + len(filt) - 1)[: len(filt)]
+        assert wpe._analyze(v, filt).tobytes() == np.array([window @ filt]).tobytes(), n
+    assert len(wpe._analyze(rng.normal(size=1), filt)) == 0
+    v = _long_node_signal()
     for n in LONG_NODES:
         out = wpe._analyze(v[:n], filt)
         assert len(out) == n // 2
-        assert out.tobytes() == reference[f"{name}{n}"].tobytes(), n
+        assert out.tobytes() == _tap_order_analyze(v[:n], filt).tobytes(), n
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores to run OpenBLAS with two threads")
 def test_analyze_independent_of_blas_threads(tmp_path):
-    # Every filtering block but the last ends on a multiple of 8 rows, so
-    # both halves of a two-thread split end on a multiple of 4 and no row
-    # moves into OpenBLAS's tail loop: the coefficients at 1 and 2 threads
-    # are those of one single-threaded product.
-    runs = _analyze_in_children(tmp_path, [("gather", "1"), ("analyze", "1"), ("analyze", "2")])
-    reference = runs[("gather", "1")]
-    for run in (("analyze", "1"), ("analyze", "2")):
-        for key in reference.files:
-            assert runs[run][key].tobytes() == reference[key].tobytes(), (run, key)
+    # No BLAS routine takes the strided windows, so numpy's own loop filters
+    # them on one thread: at 1 and 2 OpenBLAS threads the coefficients are
+    # the tap-order sums.
+    runs = _analyze_in_children(tmp_path, ["1", "2"])
+    v = _long_node_signal()
+    for n in LONG_NODES:
+        for name, filt in (("lo", wpe.DEC_LO), ("hi", wpe.DEC_HI)):
+            reference = _tap_order_analyze(v[:n], filt).tobytes()
+            for threads, run in runs.items():
+                assert run[f"{name}{n}"].tobytes() == reference, (threads, name, n)
 
 
 def test_segment_energy_working_memory_is_bounded():
-    # A 60 s float32 segment at 8 kHz: the float64 copy, two levels of
-    # nodes and one cyclic extension, plus one filtering block. Copying
-    # every window of a node at once took 80 bytes per sample.
+    # A 60 s float32 segment at 8 kHz. The budget is 4 x 8 bytes per sample:
+    # the float64 segment copy, two tree levels, and one cyclic extension
+    # (np.resize concatenates two copies of a half-length node); no window
+    # is copied.
     rate = 8000
     channel = np.random.default_rng(9).normal(size=60 * rate).astype(np.float32)
     tracemalloc.start()
@@ -123,7 +164,7 @@ def test_segment_energy_working_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / len(channel) < 40.0, f"{peak / len(channel):.1f} bytes per sample"
+    assert peak / len(channel) < 34.0, f"{peak / len(channel):.1f} bytes per sample"
 
 
 def test_segment_energy_bit_identical_to_gather_tree(monkeypatch):
@@ -134,7 +175,7 @@ def test_segment_energy_bit_identical_to_gather_tree(monkeypatch):
     starts = rng.integers(0, len(audio) - lengths)
     segments = [(s / rate, (s + n) / rate) for s, n in zip(starts, lengths)]
     fast = wpe.segment_energy(audio, segments, rate)
-    monkeypatch.setattr(wpe, "_analyze", _gather_analyze)
+    monkeypatch.setattr(wpe, "_analyze", _tap_order_analyze)
     assert fast.tobytes() == wpe.segment_energy(audio, segments, rate).tobytes()
 
 
@@ -142,19 +183,19 @@ def test_parseval_random_signal():
     x = np.random.default_rng(0).normal(size=4096)
     tree = wpe.wpt(x, 8000)
     energy = np.dot(x, x)
-    assert abs(tree.total_energy() - energy) / energy < 1e-6
+    assert abs(total_energy(tree) - energy) / energy < 1e-6
 
 
 def test_round_trip_reconstruction():
     rng = np.random.default_rng(1)
     for n in (4096, 5000, 64):
         x = rng.normal(size=n)
-        assert np.abs(wpe.inverse_wpt(wpe.wpt(x, 8000)) - x).max() < 1e-8
+        assert np.abs(inverse_wpt(wpe.wpt(x, 8000))[:n] - x).max() < 1e-8
 
 
 def test_zero_signal_zero_coefficients():
     tree = wpe.wpt(np.zeros(512), 8000)
-    assert tree.total_energy() == 0.0
+    assert total_energy(tree) == 0.0
 
 
 def test_too_short_signal():
@@ -164,18 +205,18 @@ def test_too_short_signal():
 
 def test_band_energy_tone_inside_band():
     tree = wpe.wpt(tone(1000), 8000)
-    assert wpe.band_energy(tree, 50, 2000) / tree.total_energy() >= 0.90
+    assert wpe.band_energy(tree, 50, 2000) / total_energy(tree) >= 0.90
 
 
 def test_band_energy_tone_outside_band():
     tree = wpe.wpt(tone(3000), 8000)
-    assert wpe.band_energy(tree, 50, 2000) / tree.total_energy() <= 0.10
+    assert wpe.band_energy(tree, 50, 2000) / total_energy(tree) <= 0.10
 
 
 def test_band_energy_full_band_is_parseval_sum():
     x = np.random.default_rng(2).normal(size=2048)
     tree = wpe.wpt(x, 8000)
-    assert abs(wpe.band_energy(tree, 0, 4000) - tree.total_energy()) < 1e-9
+    assert abs(wpe.band_energy(tree, 0, 4000) - total_energy(tree)) < 1e-9
 
 
 def test_band_energy_monotone_in_band_width():
@@ -183,7 +224,7 @@ def test_band_energy_monotone_in_band_width():
     tree = wpe.wpt(x, 8000)
     inner = wpe.band_energy(tree, 500, 1500)
     outer = wpe.band_energy(tree, 250, 2500)
-    assert 0 <= inner <= outer <= tree.total_energy() + 1e-12
+    assert 0 <= inner <= outer <= total_energy(tree) + 1e-12
 
 
 def test_band_energy_invalid_band():
