@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the main operating points on one synthetic session and print a DER
-table: feature kind (bottleneck vs concatenated MFCC), SAD mode, and the
-minimum turn duration.
+table: SAD mode and feature kind (bottleneck vs concatenated MFCC), each at
+two minimum turn durations, with each row's final speaker-state count and
+stop reason."""
 
-With --cell SEED DURATION, print instead one oracle-SAD bottleneck DER:
-a DURATION-second session built the same way, at pipeline seed SEED.
-
-Usage: python scripts/operating_points.py [--quick | --cell SEED DURATION]
-"""
-
+import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -33,41 +30,41 @@ def session(duration):
     return audio, reference, audio_io.sad_from_script(script)
 
 
-def run_der(audio, reference, sad, cfg):
+def cell(audio, reference, sad, cfg, min_durs):
+    """One operating point: the session's features computed once under
+    ``cfg`` (the SAD segments are read in oracle-SAD mode only), then
+    diarized and scored at each minimum turn duration in ``min_durs``.
+    Returns ``(min_dur, DerBreakdown, meta)`` per duration."""
+    rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         feats, _ = cli.extract_session_features(audio, sad if cfg.mode == "oracle-sad" else None, cfg)
-        hyp, _ = diarize(feats, cfg)
-    return scoring.score_der(reference, hyp).der
+        for min_dur in min_durs:
+            hyp, meta = diarize(feats, dataclasses.replace(cfg, min_duration_sec=min_dur))
+            rows.append((min_dur, scoring.score_der(reference, hyp), meta))
+    return rows
 
 
 def main():
-    duration = 120.0 if "--quick" in sys.argv else 300.0
-    if "--cell" in sys.argv:
-        seed, duration = sys.argv[sys.argv.index("--cell") + 1 :][:2]
-        cfg = Config(n_speakers=4, min_duration_sec=0.5, seed=int(seed))
-        print(f"{run_der(*session(float(duration)), cfg):.6f}")
-        return 0
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("seed", type=int, nargs="?", default=3, help="pipeline seed (default 3)")
+    parser.add_argument("duration", type=float, nargs="?", default=300.0, help="session seconds (default 300)")
+    args = parser.parse_args()
 
-    audio, reference, sad = session(duration)
-    print(f"{'SAD':8s} {'features':8s} {'t_min':>5s} {'K0':>3s} {'M_s':>3s} {'DER':>8s} {'time':>6s}")
+    audio, reference, sad = session(args.duration)
+    t0 = time.time()
+    print(f"{'SAD':8s} {'features':8s} {'t_min':>5s} {'K0':>3s} {'M_s':>3s} {'DER':>8s} {'K':>3s} stop")
     for mode in ("oracle-sad", "no-sad"):
         for feature_kind in ("bnf", "mfcc91"):
-            for t_min in (1.0, 0.5):
-                cfg = Config(
-                    n_speakers=4,
-                    min_duration_sec=t_min,
-                    feature_kind=feature_kind,
-                    mode=mode,
-                    seed=3,
-                )
-                t0 = time.time()
-                der = run_der(audio, reference, sad, cfg)
-                label = "Oracle" if mode == "oracle-sad" else "NO-SAD"
+            cfg = Config(n_speakers=4, feature_kind=feature_kind, mode=mode, seed=args.seed)
+            label = "Oracle" if mode == "oracle-sad" else "NO-SAD"
+            for min_dur, breakdown, meta in cell(audio, reference, sad, cfg, [1.0, 0.5]):
                 print(
-                    f"{label:8s} {feature_kind:8s} {t_min:5.1f} {cfg.initial_states:3d} "
-                    f"{cfg.components_per_initial_segment:3d} {der:8.4f} {time.time() - t0:5.0f}s"
+                    f"{label:8s} {feature_kind:8s} {min_dur:5.1f} {cfg.initial_states:3d} "
+                    f"{cfg.components_per_initial_segment:3d} {breakdown.der:8.4f} "
+                    f"{meta['final_speaker_states']:3d} {meta['stop_reason']}"
                 )
+    print(f"4 cells in {time.time() - t0:.0f}s")
     return 0
 
 

@@ -122,7 +122,7 @@ def extract_session_features(
         mask = features.speech_frame_mask(raw[0], sad_segments, cfg)
     else:
         if cfg.mode != "no-sad":
-            raise UsageError("oracle-sad mode requires a SAD segments file")
+            raise ValueError("oracle-sad mode requires SAD segments")
         # The lowest-energy 15% of frames are non-speech, with the first
         # cepstral coefficient, averaged over channels, as the frame energy.
         c0 = np.mean([f.data[:, 0] for f in raw], axis=0)

@@ -50,15 +50,15 @@ def _analyze(v: np.ndarray, filt: np.ndarray) -> np.ndarray:
     """Periodic correlation with ``filt``, downsampled by 2: returns
     ``len(v) // 2`` coefficients.
 
-    The node is extended cyclically by ``len(filt) - 1`` samples
-    (``np.resize`` wraps more than once when the node is shorter than the
-    filter), and window k is ``ext[2k : 2k + len(filt)]``: a strided view of
-    ext's buffer, which no BLAS routine takes, so numpy's own product loop
-    filters it without a copy, on one thread, summing the taps in order. A
-    1-row node goes through numpy's dot.
+    The node is extended cyclically by ``len(filt) - 1`` samples at indices
+    modulo ``len(v)`` (a node shorter than the filter wraps more than once;
+    a long node is copied once), and window k is ``ext[2k : 2k + len(filt)]``:
+    a strided view of ext's buffer, which no BLAS routine takes, so numpy's
+    own product loop filters it without a copy, on one thread, summing the
+    taps in order. A 1-row node goes through numpy's dot.
     """
     taps = len(filt)
-    ext = np.resize(v, len(v) + taps - 1)
+    ext = np.concatenate([v, v[np.arange(taps - 1) % len(v)]])
     # sliding_window_view takes 20 us a call, about a third of the time on
     # the many short nodes of a deep tree.
     windows = np.ndarray((len(v) // 2, taps), ext.dtype, ext, strides=(2 * ext.itemsize, ext.itemsize))

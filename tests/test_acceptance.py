@@ -6,18 +6,19 @@ independent oracle (exhaustive enumeration, finite differences, analytic
 identities, or seeded repetition experiments).
 """
 
+import dataclasses
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from diarkit import audio_io, cli, dae, dominance, gmm, scoring, wpe
+from diarkit import audio_io, dae, dominance, gmm, scoring, wpe
 from diarkit.config import Config
 from diarkit.diarizer import HmmModel, diarize, segmental_em, viterbi_path
 from diarkit.features import FeatureMatrix
 from diarkit.segments import DiarizationHypothesis
-from operating_points import session
+from operating_points import cell, session
 from test_dae import random_network
 from test_diarizer import enumerate_best_path, gain_on_own_frames
 from test_wpe import inverse_wpt, total_energy
@@ -38,25 +39,11 @@ def end_to_end():
     """Fixed 4-speaker 300 s session, scored in oracle-SAD and NO-SAD mode."""
     t0 = time.time()
     audio, reference, sad = session(300.0)
-    synth_seconds = time.time() - t0
-
-    results = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        t0 = time.time()
-        cfg = Config(n_speakers=4, min_duration_sec=0.5, seed=PIPELINE_SEED)
-        feats, _ = cli.extract_session_features(audio, sad, cfg)
-        hyp, meta = diarize(feats, cfg)
-        results["oracle_seconds"] = synth_seconds + (time.time() - t0)
-        results["oracle"] = scoring.score_der(reference, hyp)
-        results["oracle_meta"] = meta
-
-        ns_cfg = Config(n_speakers=4, min_duration_sec=0.5, seed=PIPELINE_SEED, mode="no-sad")
-        ns_feats, _ = cli.extract_session_features(audio, None, ns_cfg)
-        ns_hyp, ns_meta = diarize(ns_feats, ns_cfg)
-        results["no_sad"] = scoring.score_der(reference, ns_hyp)
-        results["no_sad_meta"] = ns_meta
-    return results
+    cfg = Config(n_speakers=4, seed=PIPELINE_SEED)
+    [(_, oracle, _)] = cell(audio, reference, sad, cfg, [0.5])
+    oracle_seconds = time.time() - t0
+    [(_, no_sad, _)] = cell(audio, reference, sad, dataclasses.replace(cfg, mode="no-sad"), [0.5])
+    return {"oracle": oracle, "oracle_seconds": oracle_seconds, "no_sad": no_sad}
 
 
 def test_criterion_1_end_to_end_der(end_to_end):

@@ -300,6 +300,11 @@ def test_oracle_sad_empty_selection_refused():
         _session_features(_noise_audio(), [(100.0, 101.0)], "oracle-sad")
 
 
+def test_oracle_sad_without_segments_refused():
+    with pytest.raises(ValueError, match="oracle-sad mode requires SAD segments"):
+        _session_features(_noise_audio(), None, "oracle-sad")
+
+
 def test_feature_dump_round_trip(tmp_path):
     f = FeatureMatrix(np.random.default_rng(15).normal(size=(37, 21)).astype(np.float32).astype(np.float64))
     path = tmp_path / "f.bin"
@@ -331,8 +336,7 @@ def test_session_feature_stack_peak_memory():
     # runs it: 7 channels, bottleneck features, oracle SAD. Only the speech
     # rows are spliced, so the stack's traced peak is one speech-rows x 1001
     # float64 matrix plus the four mini-batch buffers of a training step
-    # (1.53x at 2669 rows); building the all-frames matrix and its
-    # speech-rows copy took 2.66x.
+    # (1.53x at 2669 rows).
     audio, _, sad = session(30.0)
     cfg = Config(seed=3)
     tracemalloc.start()
