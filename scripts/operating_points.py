@@ -56,7 +56,7 @@ def main():
     print(f"{'SAD':8s} {'features':8s} {'t_min':>5s} {'K0':>3s} {'M_s':>3s} {'DER':>8s} {'K':>3s} stop")
     for mode in ("oracle-sad", "no-sad"):
         for feature_kind in ("bnf", "mfcc91"):
-            cfg = Config(n_speakers=4, feature_kind=feature_kind, mode=mode, seed=args.seed)
+            cfg = Config(n_speakers=len(reference.speakers), feature_kind=feature_kind, mode=mode, seed=args.seed)
             label = "Oracle" if mode == "oracle-sad" else "NO-SAD"
             for min_dur, breakdown, meta in cell(audio, reference, sad, cfg, [1.0, 0.5]):
                 print(

@@ -119,7 +119,7 @@ def extract_session_features(
         raise ValueError(f"audio is at {audio.sample_rate} Hz, the config at {cfg.sample_rate} Hz")
     raw = [features.mfcc(ch, cfg) for ch in audio.channels]
     if sad_segments is not None:
-        mask = features.speech_frame_mask(raw[0], sad_segments, cfg)
+        mask = features.speech_frame_mask(raw[0], sad_segments)
     else:
         if cfg.mode != "no-sad":
             raise ValueError("oracle-sad mode requires SAD segments")
@@ -127,20 +127,16 @@ def extract_session_features(
         # cepstral coefficient, averaged over channels, as the frame energy.
         c0 = np.mean([f.data[:, 0] for f in raw], axis=0)
         mask = c0 > np.quantile(c0, 0.15)
-    normalized = [features.cmvn(f, mask) for f in raw]
-    combined = dataclasses.replace(features.concat_streams(normalized), speech_mask=mask)
-    del raw, normalized
+    combined = features.concat_streams([features.cmvn(f, mask) for f in raw])
+    del raw
 
-    if cfg.mode == "no-sad":
-        rows, kept = None, {}
-    else:  # speech rows only, each named by its frame
-        rows = np.flatnonzero(mask)
-        kept = {"speech_mask": None, "frame_index": rows}
-    if cfg.feature_kind == "mfcc91":
-        data = combined.data if rows is None else combined.data[rows]
-    else:  # only the kept rows are spliced
-        data = features.splice(combined, features.SPLICE_FRAMES, rows)
-    staged = dataclasses.replace(combined, data=data, **kept)
+    # Oracle SAD keeps the speech rows only, each named by its frame; only
+    # the kept rows are spliced, and mfcc91 splices no context.
+    rows = None if cfg.mode == "no-sad" else np.flatnonzero(mask)
+    context = 0 if cfg.feature_kind == "mfcc91" else features.SPLICE_FRAMES
+    staged = FeatureMatrix(
+        features.splice(combined, context, rows), speech_mask=mask if rows is None else None, frame_index=rows
+    )
     if cfg.feature_kind == "mfcc91":
         return staged, None
 
@@ -266,7 +262,7 @@ def cmd_dominance(args) -> int:
 def cmd_features(args) -> int:
     cfg, audio, sad_segments = _load_inputs(args)
     feats, _ = extract_session_features(audio, sad_segments, cfg)
-    _atomic_write(args.out, features.feature_bytes(feats, cfg.hop_sec))
+    _atomic_write(args.out, features.feature_bytes(feats))
     print(f"wrote {args.out}: {feats.n_frames} frames x {feats.dim} dims")
     return 0
 

@@ -18,13 +18,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import gmm as gmm_mod
-from .config import Config
+from .config import HOP_SEC, WINDOW_SEC, Config
 from .features import FeatureMatrix
 from .gmm import Gmm
 from .segments import DiarizationHypothesis
 
 # EM iterations a merge trial runs on the pooled frames.
 MERGE_REFINE_ITERS = 5
+EM_ITERS = 5  # segmental-EM passes (align + refit) per merge round, at most
 
 SELF_LOOP_PROB = 0.9  # see ``HmmModel``
 
@@ -215,7 +216,7 @@ def merge_gain(g1: Gmm, X1: np.ndarray, ll1: float, g2: Gmm, X2: np.ndarray, ll2
 
 
 def _segments_from_labels(
-    labels: np.ndarray, frame_index: np.ndarray, cfg: Config, names: list[str]
+    labels: np.ndarray, frame_index: np.ndarray, names: list[str]
 ) -> list[tuple[float, float, str]]:
     """Turn per-frame labels into time segments, splitting runs wherever the
     original frame index jumps (removed non-speech). A run of a label past
@@ -224,15 +225,14 @@ def _segments_from_labels(
     a start, so adjacent runs share one boundary value and never overlap.
     Two runs of one label are split only at a frame gap, so at least one hop
     lies between them."""
-    hop_sec, half = cfg.hop_sec, cfg.window_sec / 2.0
     segs = []
     run_start = 0
     for i in range(1, len(labels) + 1):
         boundary = i == len(labels) or labels[i] != labels[i - 1] or frame_index[i] != frame_index[i - 1] + 1
         if boundary:
             if labels[run_start] < len(names):
-                t0 = frame_index[run_start] * hop_sec + half - hop_sec / 2.0
-                t1 = (frame_index[i - 1] + 1) * hop_sec + half - hop_sec / 2.0
+                t0 = frame_index[run_start] * HOP_SEC + WINDOW_SEC / 2.0 - HOP_SEC / 2.0
+                t1 = (frame_index[i - 1] + 1) * HOP_SEC + WINDOW_SEC / 2.0 - HOP_SEC / 2.0
                 segs.append((max(0.0, t0), t1, names[labels[run_start]]))
             run_start = i
     return segs
@@ -255,7 +255,7 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
     frame_index = X.frame_index if X.frame_index is not None else np.arange(X.n_frames)
     has_ns = X.speech_mask is not None
 
-    T = max(1, int(round(cfg.min_duration_sec / cfg.hop_sec)))
+    T = max(1, int(round(cfg.min_duration_sec / HOP_SEC)))
     m_s = cfg.components_per_initial_segment
 
     speech_rows = np.flatnonzero(X.speech_mask) if has_ns else np.arange(X.n_frames)
@@ -281,7 +281,7 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
     # Every round aligns first; the round after a stop only aligns.
     for round_idx in itertools.count():
         n_in = model.n_states
-        model, labels, hist, kept = segmental_em(model, data, max_iters=cfg.em_iters)
+        model, labels, hist, kept = segmental_em(model, data, max_iters=EM_ITERS)
         em_history.extend(hist)
         dropped_states.extend({"round": round_idx, "state": k} for k in range(n_in) if k not in kept)
         has_ns = has_ns and kept[-1] == n_in - 1
@@ -326,7 +326,7 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
         model = HmmModel(states=new_states, min_dur_frames=T)
 
     names = [f"spk{k}" for k in range(n_speaker_states)]
-    segs = _segments_from_labels(labels, frame_index, cfg, names)
+    segs = _segments_from_labels(labels, frame_index, names)
     hyp = DiarizationHypothesis(segs)
     meta = {
         "final_states": model.n_states,

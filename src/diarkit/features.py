@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.fft import dct
 
-from .config import Config
+from .config import HOP_SEC, WINDOW_SEC, Config
 
 FEATURE_MAGIC = b"FEA1"
 
@@ -27,7 +27,7 @@ SPLICE_FRAMES = 5
 
 @dataclass
 class FeatureMatrix:
-    """frames x dim matrix, framed by the ``hop_sec`` and ``window_sec`` of a ``Config``.
+    """frames x dim matrix on the ``config.HOP_SEC`` / ``config.WINDOW_SEC`` frame grid.
 
     ``speech_mask`` marks speech frames (None means unknown/all speech).
     ``frame_index`` maps rows back to original frame indices after
@@ -78,8 +78,8 @@ def mfcc(signal: np.ndarray, cfg: Config) -> FeatureMatrix:
     """
     rate = cfg.sample_rate
     signal = np.asarray(signal, dtype=np.float64)
-    win = int(round(cfg.window_sec * rate))
-    hop = int(round(cfg.hop_sec * rate))
+    win = int(round(WINDOW_SEC * rate))
+    hop = int(round(HOP_SEC * rate))
     n_fft = 1 << (win - 1).bit_length()
     if len(signal) < win:
         raise ValueError(f"signal shorter than one window ({len(signal)} < {win} samples)")
@@ -134,19 +134,19 @@ def splice(f: FeatureMatrix, context: int, rows: np.ndarray | None = None) -> np
     return f.data[idx].reshape(len(centers), idx.shape[1] * f.dim)
 
 
-def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple[float, float]], cfg: Config) -> np.ndarray:
+def speech_frame_mask(f: FeatureMatrix, sad_segments: list[tuple[float, float]]) -> np.ndarray:
     """A frame is speech when its center time lies inside any segment."""
-    centers = np.arange(f.n_frames) * cfg.hop_sec + cfg.window_sec / 2.0
+    centers = np.arange(f.n_frames) * HOP_SEC + WINDOW_SEC / 2.0
     mask = np.zeros(f.n_frames, dtype=bool)
     for start, end in sad_segments:
         mask |= (centers >= start) & (centers <= end)
     return mask
 
 
-def feature_bytes(f: FeatureMatrix, hop_sec: float) -> bytes:
+def feature_bytes(f: FeatureMatrix) -> bytes:
     """Flat binary dump: 16-byte header (magic, frames, dim, hop in
     microseconds), then row-major little-endian float32."""
-    header = struct.pack("<4sIII", FEATURE_MAGIC, f.n_frames, f.dim, int(round(hop_sec * 1e6)))
+    header = struct.pack("<4sIII", FEATURE_MAGIC, f.n_frames, f.dim, int(round(HOP_SEC * 1e6)))
     return header + f.data.astype("<f4").tobytes(order="C")
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diarkit import audio_io, cli, dae, dominance, scoring, wpe
+from diarkit import audio_io, cli, config, dae, dominance, scoring, wpe
 from diarkit.audio_io import SessionScript, VoiceSpec
 from diarkit.config import Config
 from diarkit.segments import DiarizationHypothesis, rttm_format, rttm_read
@@ -397,7 +397,7 @@ def test_features_dump_command(synth_dir, tmp_path):
     assert rc == 0
     f, hop_sec = feat_mod.read_features(out)
     assert f.dim == 26  # 2 channels x 13
-    assert abs(hop_sec - Config.hop_sec) < 1e-9
+    assert abs(hop_sec - config.HOP_SEC) < 1e-9
 
 
 def test_config_file_and_flag_precedence(synth_dir, tmp_path):
@@ -429,11 +429,12 @@ def test_config_file_and_flag_precedence(synth_dir, tmp_path):
     assert meta["config"]["min_duration_sec"] == 0.5  # flag wins
 
 
-# The fixed front end, the DAE momentum and the HMM self-loop probability,
-# each at the value its module keeps as a constant.
+# The fixed front end and frame grid, the DAE momentum, the HMM self-loop
+# probability and the EM budget, each at the value its module keeps as a
+# constant.
 CONSTANT_LINES = [
     "pre_emphasis = 0.97", "n_mels = 26", "n_coeffs = 13", "splice_left = 5", "splice_right = 5",
-    "momentum = 0.05", "self_loop_prob = 0.9",
+    "window_sec = 0.025", "hop_sec = 0.01", "momentum = 0.05", "self_loop_prob = 0.9", "em_iters = 5",
 ]  # fmt: skip
 
 
@@ -524,10 +525,10 @@ def test_env_seed_override(script_file, tmp_path, monkeypatch):
 # ------------------------------------------------------------ config contract
 
 CONFIG_KEYS = {
-    "sample_rate", "window_sec", "hop_sec", "feature_kind", "bottleneck_dim",
+    "sample_rate", "feature_kind", "bottleneck_dim",
     "corruption_level", "learning_rate", "epochs", "batch_size",
     "n_speakers", "initial_states", "min_duration_sec", "components_per_initial_segment",
-    "em_iters", "mode", "seed",
+    "mode", "seed",
 }  # fmt: skip
 
 # Flags of the pipeline subcommands that name inputs and outputs, not keys.
@@ -582,10 +583,9 @@ def test_stage_flag_beats_config_file(tmp_path):
 # One bad value per line: each must exit 2 from the CLI and raise a
 # ValueError naming its key from Config itself.
 BAD_CONFIG_LINES = [
-    "learning_rate = -1", "min_duration_sec = 0", "sample_rate = 0", "bottleneck_dim = 0",
-    "initial_states = 0", "components_per_initial_segment = 0", "em_iters = -2",
+    "learning_rate = -1", "min_duration_sec = 0", "sample_rate = 0", "sample_rate = 40", "bottleneck_dim = 0",
+    "initial_states = 0", "components_per_initial_segment = 0",
     "epochs = 0", "epochs = -1", "batch_size = 0",
-    "window_sec = 0", "hop_sec = 0", "hop_sec = -0.01",
     "min_duration_sec = nan", "min_duration_sec = inf", "learning_rate = nan",
     "n_speakers = 1", "corruption_level = 1.5", "feature_kind = wav", "mode = vad", "seed = -1",
 ]  # fmt: skip
@@ -595,6 +595,7 @@ BAD_CONFIG_LINES = [
 GONE_KEY_LINES = [
     "n_fft = 8", "max_outer_iters = -1", "self_loop_prob = 1.5", "splice_left = -7", "splice_right = -1",
     "momentum = 1", "momentum = -0.1", "n_coeffs = 0", "n_coeffs = 40", "n_mels = 0", "pre_emphasis = nan",
+    "window_sec = 0", "hop_sec = 0", "hop_sec = -0.01", "em_iters = -2",
     *CONSTANT_LINES,
 ]  # fmt: skip
 

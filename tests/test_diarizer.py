@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diarkit import diarizer, gmm
+from diarkit import config, diarizer, gmm
 from diarkit.config import Config
 from diarkit.diarizer import (
     SELF_LOOP_PROB,
@@ -463,11 +463,11 @@ def test_diarize_no_sad_mode_leaves_pauses_uncovered():
     assert all(lab.startswith("spk") for _, _, lab in hyp.segments)
     # Non-speech gives no segment: the segments cover the speech blocks and
     # leave the silence blocks between them uncovered.
-    centres = np.arange(len(data)) * cfg.hop_sec + cfg.window_sec / 2.0
+    centres = np.arange(len(data)) * config.HOP_SEC + config.WINDOW_SEC / 2.0
     covered = np.zeros(len(data), dtype=bool)
     for start, end, _ in hyp.segments:
         covered |= (centres >= start) & (centres < end)
-    assert np.count_nonzero(covered != np.array(mask)) * cfg.hop_sec < 0.05
+    assert np.count_nonzero(covered != np.array(mask)) * config.HOP_SEC < 0.05
 
 
 def test_diarize_no_sad_drops_a_starved_non_speech_state():

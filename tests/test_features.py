@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diarkit import cli, features
+from diarkit import cli, config, features
 from diarkit.audio_io import MultiStreamAudio
 from diarkit.config import Config
 from diarkit.features import FeatureMatrix, cmvn, concat_streams, mfcc, splice
@@ -91,11 +91,11 @@ def test_mfcc_every_window_sample_counts():
     assert not np.array_equal(mfcc(x, cfg).data[0], mfcc(cut, cfg).data[0])
 
 
-# Windows of 200, 276, 400, 551, 1102 and 320 samples: all but the first
-# are longer than 256 points.
+# Windows of 200, 276, 400, 551 and 1102 samples: all but the first are
+# longer than 256 points.
 FFT_SIZES = [
     ({"sample_rate": 8000}, 256), ({"sample_rate": 11025}, 512), ({"sample_rate": 16000}, 512),
-    ({"sample_rate": 22050}, 1024), ({"sample_rate": 44100}, 2048), ({"window_sec": 0.04}, 512),
+    ({"sample_rate": 22050}, 1024), ({"sample_rate": 44100}, 2048),
 ]
 
 
@@ -112,7 +112,7 @@ def test_mfcc_fft_size_covers_the_window(monkeypatch, settings, expected):
     real = features.mel_filterbank
     monkeypatch.setattr(features, "mel_filterbank", spy)
     cfg = Config(**settings)
-    win = round(cfg.window_sec * cfg.sample_rate)
+    win = round(config.WINDOW_SEC * cfg.sample_rate)
     assert mfcc(np.random.default_rng(0).normal(size=cfg.sample_rate // 10), cfg).n_frames > 0
     assert seen == [expected]
     assert win <= expected < 2 * win and expected & (expected - 1) == 0
@@ -235,9 +235,7 @@ def test_splice_center_block_projection():
 def test_splice_rows_equal_materialized_splice_bits():
     rng = np.random.default_rng(13)
     f = FeatureMatrix(rng.normal(size=(120, 7)))
-    full = _materialized_splice(f.data, 5)
-    assert splice(f, 5).tobytes() == full.tobytes()
-    for rows in [
+    row_sets = [
         np.flatnonzero(rng.random(120) < 0.6),  # speech rows
         rng.permutation(120)[:40],  # shuffled
         np.array([3, 3, 0, 119]),  # repeats and both ends
@@ -245,8 +243,14 @@ def test_splice_rows_equal_materialized_splice_bits():
         np.arange(115, 120),  # the last 5 frames: right context replicated
         np.arange(0, 120, 7),  # strided
         np.arange(119, -1, -4),  # strided backwards
-    ]:
-        assert splice(f, 5, rows).tobytes() == full[rows].tobytes(), rows
+    ]
+    # Context 0 stages mfcc91: the plain row gather.
+    assert _materialized_splice(f.data, 0).tobytes() == f.data.tobytes()
+    for context in (5, 0):
+        full = _materialized_splice(f.data, context)
+        assert splice(f, context).tobytes() == full.tobytes()
+        for rows in row_sets:
+            assert splice(f, context, rows).tobytes() == full[rows].tobytes(), (context, rows)
 
 
 def _noise_audio(seconds=3.0, rate=8000, seed=11):
@@ -262,7 +266,7 @@ def _session_features(audio, sad, mode):
 
 def test_sad_full_coverage_keeps_every_frame():
     f = FeatureMatrix(np.random.default_rng(11).normal(size=(100, 2)))
-    assert features.speech_frame_mask(f, [(0.0, 10.0)], Config()).all()
+    assert features.speech_frame_mask(f, [(0.0, 10.0)]).all()
     audio = _noise_audio()
     oracle = _session_features(audio, [(0.0, 10.0)], "oracle-sad")
     no_sad = _session_features(audio, [(0.0, 10.0)], "no-sad")
@@ -273,7 +277,7 @@ def test_sad_full_coverage_keeps_every_frame():
 
 def test_speech_frame_mask_center_rule_count():
     f = FeatureMatrix(np.random.default_rng(12).normal(size=(500, 2)))
-    assert abs(features.speech_frame_mask(f, [(1.0, 2.0)], Config()).sum() - 100) <= 1
+    assert abs(features.speech_frame_mask(f, [(1.0, 2.0)]).sum() - 100) <= 1
 
 
 def test_oracle_sad_rows_are_no_sad_rows_at_frame_index():
@@ -285,8 +289,7 @@ def test_oracle_sad_rows_are_no_sad_rows_at_frame_index():
     np.testing.assert_array_equal(oracle.data, no_sad.data[oracle.frame_index])
     assert oracle.speech_mask is None
     # every kept row's centre time lies inside a SAD segment
-    cfg = Config()
-    centres = oracle.frame_index * cfg.hop_sec + cfg.window_sec / 2.0
+    centres = oracle.frame_index * config.HOP_SEC + config.WINDOW_SEC / 2.0
     assert all(any(s <= t <= e for s, e in sad) for t in centres)
 
 
@@ -308,7 +311,7 @@ def test_oracle_sad_without_segments_refused():
 def test_feature_dump_round_trip(tmp_path):
     f = FeatureMatrix(np.random.default_rng(15).normal(size=(37, 21)).astype(np.float32).astype(np.float64))
     path = tmp_path / "f.bin"
-    path.write_bytes(features.feature_bytes(f, 0.010))
+    path.write_bytes(features.feature_bytes(f))
     back, hop_sec = features.read_features(str(path))
     assert back.data.shape == (37, 21)
     assert abs(hop_sec - 0.010) < 1e-9
@@ -317,7 +320,7 @@ def test_feature_dump_round_trip(tmp_path):
 
 @pytest.mark.parametrize("cut", [-4, -3, 4], ids=["short-value", "short-byte", "padded"])
 def test_read_features_refuses_wrong_length(tmp_path, cut):
-    data = features.feature_bytes(FeatureMatrix(np.ones((5, 3))), 0.010)
+    data = features.feature_bytes(FeatureMatrix(np.ones((5, 3))))
     path = tmp_path / "f.bin"
     path.write_bytes(data[:cut] if cut < 0 else data + b"\x00" * cut)
     with pytest.raises(ValueError, match=r"f\.bin: \d+ bytes of data, the header declares 60"):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from diarkit import audio_io, features, scoring
-from diarkit.config import Config
 from diarkit.segments import DiarizationHypothesis, rttm_read
 
 
@@ -67,5 +66,5 @@ def test_labelled_sad_file_is_overlapping_intervals(tmp_path):
     sad = audio_io.read_segments(str(path))
     assert sad == [(0.0, 3.0), (2.0, 5.0)]
     frames = features.FeatureMatrix(data=np.zeros((800, 1)))
-    mask = features.speech_frame_mask(frames, sad, Config())
-    np.testing.assert_array_equal(mask, features.speech_frame_mask(frames, [(0.0, 5.0)], Config()))
+    mask = features.speech_frame_mask(frames, sad)
+    np.testing.assert_array_equal(mask, features.speech_frame_mask(frames, [(0.0, 5.0)]))
