@@ -14,7 +14,7 @@ from .segments import DiarizationHypothesis, rttm_read
 
 CHANNEL_LENGTH_TOLERANCE_SEC = 0.010
 
-# Resampler quality knobs: Kaiser-windowed sinc, fixed kernel support.
+# The resampler's fixed filter: a Kaiser-windowed sinc of fixed support.
 _KAISER_BETA = 8.0
 _SINC_TAPS = 64
 
@@ -165,26 +165,82 @@ def wav_bytes(samples: np.ndarray, rate: int) -> bytes:
     return buf.getvalue()
 
 
+def _kaiser_sinc_taps(up: int, down: int) -> np.ndarray:
+    """The anti-alias filter of an ``up``/``down`` rate change, scaled by
+    ``up``: ``_SINC_TAPS * up + 1`` taps of a sinc cut off at ``1 / max(up,
+    down)`` of the Nyquist rate under a Kaiser window, normalized to unit DC
+    gain. Each step is the expression ``scipy.signal.firwin`` evaluates, so
+    the taps have its bytes."""
+    from scipy.special import i0
+
+    numtaps = _SINC_TAPS * up + 1
+    cutoff = np.float64(1 / max(up, down))
+    alpha = 0.5 * (numtaps - 1)
+    m = np.arange(0, numtaps, dtype=np.float64) - alpha
+    h = cutoff * np.sinc(cutoff * m)
+    h *= i0(_KAISER_BETA * np.sqrt(1 - (m / alpha) ** 2.0)) / i0(np.float64(_KAISER_BETA))
+    h /= np.sum(h)
+    h *= up
+    return h
+
+
 def resample(signal: np.ndarray, in_rate: int, out_rate: int) -> np.ndarray:
     """Polyphase resampling through a Kaiser-windowed sinc (``_SINC_TAPS``
     taps at the input rate, cut off at the lower of the two Nyquist rates).
-    The output has ``len(signal) * out_rate // in_rate`` samples.
+    The output has ``len(signal) * out_rate // in_rate`` samples, with the
+    bytes of ``scipy.signal.resample_poly`` given the same taps: each output
+    sums its products in upfirdn's order, oldest input sample first.
 
     Returns ``signal`` itself when the rates match, at its own dtype; only a
     real resample converts it, to float64.
     """
     if in_rate == out_rate:
         return signal
-    # Imported here, not at the top: scipy.signal takes about a second to
-    # import, and synthesis and WAV I/O, which import this module, never
-    # resample.
-    from scipy.signal import firwin, resample_poly
-
-    signal = np.asarray(signal, dtype=np.float64)
+    signal = np.asarray(signal)
     g = math.gcd(in_rate, out_rate)
     up, down = out_rate // g, in_rate // g
-    taps = firwin(_SINC_TAPS * up + 1, 1 / max(up, down), window=("kaiser", _KAISER_BETA))
-    return resample_poly(signal, up, down, window=taps)[: len(signal) * out_rate // in_rate]
+    h = _kaiser_sinc_taps(up, down)
+    # The filter, delayed by pre_pad zero taps, splits into up phases of
+    # n_taps taps each: phase t holds taps[k * up + t]. Output i is sample
+    # i + skip of the upsampled, filtered and decimated input, which centres
+    # the filter on it.
+    half_len = (len(h) - 1) // 2
+    pre_pad = down - half_len % down
+    skip = (half_len + pre_pad) // down
+    n_taps = -(-(pre_pad + len(h)) // up)
+    taps = np.zeros(n_taps * up)
+    taps[pre_pad : pre_pad + len(h)] = h
+
+    # Output i = q * up + r sums phase (r + skip) * down % up, tap k, times
+    # input sample c_r + q * down - k, where c_r = (r + skip) * down // up.
+    # For fixed r and k those samples are every down-th one: a contiguous
+    # run of one deinterleaved, zero-padded input stream.
+    n_out = len(signal) * up // down
+    counts = [len(range(r, n_out, up)) for r in range(up)]
+    starts = [(r + skip) * down // up for r in range(up)]
+    lead = -(-(n_taps - 1) // down)  # zeros before each stream
+    width = lead + max(-(-len(signal) // down), max(c // down + n for c, n in zip(starts, counts)))
+    streams = np.zeros((down, width))
+    for s in range(down):
+        stream = signal[s::down]
+        streams[s, lead : lead + len(stream)] = stream
+
+    # Filtered in runs of 2**15 outputs, so that the run and its product
+    # stay in cache across the taps.
+    run = 1 << 15
+    out = np.zeros((up, counts[0]))
+    product = np.empty(min(run, counts[0]))
+    for r, (c, n) in enumerate(zip(starts, counts)):
+        phase = (r + skip) * down % up
+        for q in range(0, n, run):
+            acc = out[r, q : min(q + run, n)]
+            prod = product[: len(acc)]
+            for k in range(n_taps - 1, -1, -1):
+                o, s = divmod(c - k, down)
+                begin = lead + o + q
+                np.multiply(streams[s, begin : begin + len(acc)], taps[k * up + phase], out=prod)
+                acc += prod
+    return out.T.ravel()[:n_out]
 
 
 def load_session(paths: list[str], target_rate: int) -> MultiStreamAudio:

@@ -71,17 +71,49 @@ def test_resample_preserves_duration():
         assert len(y) == len(x) * rate_out // rate_in, (rate_in, rate_out)
 
 
-def test_import_defers_slow_scipy_modules():
+@pytest.mark.parametrize(
+    "rate_in, rate_out",
+    [(16000, 8000), (8000, 16000), (44100, 8000), (48000, 8000), (11025, 8000), (22050, 16000), (8000, 11025)],
+)
+def test_resample_matches_scipy_resample_poly_bytes(rate_in, rate_out):
+    # Oracle: scipy's polyphase resampler with the same Kaiser-windowed sinc.
+    # Lengths 1 and 5 leave fewer outputs than phases, the others are not
+    # multiples of the decimation factor, and the 9 s signal spans several
+    # runs of the filter loop.
+    from scipy.signal import firwin, resample_poly
+
+    g = math.gcd(rate_in, rate_out)
+    up, down = rate_out // g, rate_in // g
+    taps = firwin(64 * up + 1, 1 / max(up, down), window=("kaiser", 8.0))
+    rng = np.random.default_rng(rate_in + rate_out)
+    for n in (1, 5, 300, 2 * rate_in + 7, 9 * rate_in + 3):
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(size=n).astype(dtype)
+            want = resample_poly(x.astype(np.float64), up, down, window=taps)[: n * rate_out // rate_in]
+            got = audio_io.resample(x, rate_in, rate_out)
+            assert got.dtype == np.float64 and got.shape == want.shape, (n, dtype)
+            assert got.tobytes() == want.tobytes(), (n, dtype)
+
+
+def test_import_defers_slow_scipy_modules(tmp_path):
     # Set-up code imports audio_io for synthesis and WAV I/O only; these two
     # modules cost about a second and are loaded where they are first used.
+    # Resampling, by itself or while loading a 16 kHz session, needs neither
+    # of them: scipy.signal is never loaded.
+    path = tmp_path / "16k.wav"
+    wavfile.write(path, 16000, sine(440, 16000, 0.5).astype(np.float32))
     code = (
-        "import sys, diarkit.audio_io\n"
-        "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))"
+        "import sys, diarkit.audio_io as audio_io\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))\n"
+        "import numpy as np\n"
+        "audio_io.resample(np.linspace(-1, 1, 16000), 16000, 8000)\n"
+        f"audio_io.load_session([{str(path)!r}], target_rate=8000)\n"
+        "print('scipy.signal' in sys.modules)"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
 
 
 def test_load_session_int16_scaling(tmp_path):
