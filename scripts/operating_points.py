@@ -15,7 +15,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from diarkit import audio_io, cli, scoring
 from diarkit.config import Config
-from diarkit.diarizer import diarize
+from diarkit.diarizer import COMPONENTS_PER_SEGMENT, diarize
 
 
 def session(duration):
@@ -61,7 +61,7 @@ def main():
             for min_dur, breakdown, meta in cell(audio, reference, sad, cfg, [1.0, 0.5]):
                 print(
                     f"{label:8s} {feature_kind:8s} {min_dur:5.1f} {cfg.initial_states:3d} "
-                    f"{cfg.components_per_initial_segment:3d} {breakdown.der:8.4f} "
+                    f"{COMPONENTS_PER_SEGMENT:3d} {breakdown.der:8.4f} "
                     f"{meta['final_speaker_states']:3d} {meta['stop_reason']}"
                 )
     print(f"4 cells in {time.time() - t0:.0f}s")

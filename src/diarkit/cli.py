@@ -1,9 +1,8 @@
 """Command line interface: synth, diarize, score, dominance, features.
 
 Exit codes: 0 success, 1 runtime failure inside a module, 2 usage or
-validation error. The environment variable ``DIARKIT_SEED`` overrides the
-default seed. Every file a subcommand writes is written atomically (temp
-file + rename), with the mode the umask gives a new file.
+validation error. Every file a subcommand writes is written atomically
+(temp file + rename), with the mode the umask gives a new file.
 """
 
 from __future__ import annotations
@@ -51,24 +50,12 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _env_seed(default: int) -> int:
-    """``DIARKIT_SEED`` as an integer, or ``default`` when it is unset."""
-    value = os.environ.get("DIARKIT_SEED")
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise UsageError(f"DIARKIT_SEED must be an integer, got {value!r}") from exc
-
-
 def build_pipeline_config(args) -> Config:
-    """Precedence: command line flags > config file > defaults (with
-    DIARKIT_SEED standing in for the default seed). Every pipeline flag
-    stores into the argparse ``dest`` named after its config key."""
+    """Precedence: command line flags > config file > defaults. Every
+    pipeline flag stores into the argparse ``dest`` named after its config
+    key; the DAE recipe and the GMM size are constants of ``dae`` and
+    ``diarizer``, so a file that names one is refused as an unknown key."""
     values = load_config_file(args.config) if args.config else {}
-    if args.seed is None and "seed" not in values:
-        values["seed"] = _env_seed(Config.seed)
     for f in dataclasses.fields(Config):
         if getattr(args, f.name, None) is not None:
             values[f.name] = getattr(args, f.name)
@@ -143,11 +130,11 @@ def extract_session_features(
     hidden_dim = combined.dim
     del combined  # all frames: training reads the staged rows only
     if net is None:
-        net = dae.pretrain_stack(staged.data, cfg, hidden_dim=hidden_dim)
-    elif (net.input_dim, net.bottleneck_dim) != (staged.dim, cfg.bottleneck_dim):
+        net = dae.pretrain_stack(staged.data, hidden_dim, cfg.seed)
+    elif (net.input_dim, net.bottleneck_dim) != (staged.dim, dae.BOTTLENECK_DIM):
         raise UsageError(
             f"stored network maps {net.input_dim} -> {net.bottleneck_dim} dims; "
-            f"this config needs {staged.dim} -> {cfg.bottleneck_dim}"
+            f"this session needs {staged.dim} -> {dae.BOTTLENECK_DIM}"
         )
     return dae.bottleneck(net, staged), net
 
@@ -167,16 +154,15 @@ def cmd_synth(args) -> int:
     if not math.isfinite(args.snr_db):
         raise UsageError(f"--snr-db must be finite, got {args.snr_db}")
     _check_file_id(args.file_id)
-    seed = args.seed if args.seed is not None else _env_seed(0)
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {args.seed}")
     with open(args.script, encoding="utf-8") as fh:
         script = audio_io.SessionScript.from_json(fh.read())
     channels = args.channels
     delays = [args.max_delay_ms * c / max(1, channels - 1) for c in range(channels)]
     gains = [1.0 - 0.5 * c / max(1, channels - 1) for c in range(channels)]
     audio, reference = audio_io.synth_session(
-        script, channels, delays, gains, noise_snr_db=args.snr_db, seed=seed, rate=args.rate
+        script, channels, delays, gains, noise_snr_db=args.snr_db, seed=args.seed, rate=args.rate
     )
     os.makedirs(args.out_dir, exist_ok=True)
     for c, chan in enumerate(audio.channels):
@@ -217,8 +203,7 @@ def cmd_diarize(args) -> int:
     hyp, meta = diarize(feats, cfg)
     file_id = args.file_id or re.sub(r"\s+", "_", os.path.splitext(os.path.basename(args.out))[0])
     _atomic_write(args.out, rttm_format(hyp, file_id=file_id))
-    meta_path = args.meta or (os.path.splitext(args.out)[0] + ".meta.jsonl")
-    _atomic_write(meta_path, json.dumps(meta) + "\n")
+    _atomic_write(os.path.splitext(args.out)[0] + ".meta.jsonl", json.dumps(meta) + "\n")
     print(f"wrote {args.out} ({len(hyp.speakers)} speakers, stop: {meta['stop_reason']})")
     return 0
 
@@ -282,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-delay-ms", type=float, default=5.0)
     p.add_argument("--rate", type=int, default=Config.sample_rate)
     p.add_argument("--file-id", default="session")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     # The input flags ``diarize`` and ``features`` share.
@@ -292,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     inputs.add_argument(
         "--no-sad", dest="mode", action="store_const", const="no-sad", help="model non-speech as an extra state"
     )
-    inputs.add_argument("--epochs", type=int, default=None, help="training epochs per autoencoder layer")
     inputs.add_argument("--config", default=None, help="key=value config file")
     inputs.add_argument("--seed", type=int, default=None)
 
@@ -300,13 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speakers", dest="n_speakers", type=int, help="number of speakers (side information)")
     p.add_argument("--min-dur", dest="min_duration_sec", type=float, help="minimum turn duration in seconds")
     p.add_argument("--initial-states", type=int)
-    p.add_argument(
-        "--components", dest="components_per_initial_segment", type=int, help="GMM components per initial segment"
-    )
     p.add_argument("--features", dest="feature_kind", choices=["bnf", "mfcc91"])
     p.add_argument("--dae-model", default=None, help="reuse (or store) a trained network here")
     p.add_argument("--file-id", default=None)
-    p.add_argument("--meta", default=None, help="metadata JSON-lines path")
     p.add_argument("--out", required=True, help="output RTTM path")
     p.set_defaults(func=cmd_diarize)
 

@@ -18,18 +18,9 @@ HOP_SEC = 0.010
 class Config:
     sample_rate: int = 8000
     feature_kind: str = "bnf"  # bnf | mfcc91
-    bottleneck_dim: int = 21
-    corruption_level: float = 0.2  # std of the additive Gaussian noise
-    # The loss sums squared error over every input dim (1001 for 7 spliced
-    # channels), so the step has to be small: at 0.01 SGD is chaotic and the
-    # trained features follow the BLAS summation order, i.e. the thread count.
-    learning_rate: float = 0.001
-    epochs: int = 10
-    batch_size: int = 256
     n_speakers: int = 4
     initial_states: int = 12
     min_duration_sec: float = 0.5
-    components_per_initial_segment: int = 2
     mode: str = "oracle-sad"  # oracle-sad | no-sad
     seed: int = 0
 
@@ -37,18 +28,13 @@ class Config:
         for key, choices in (("feature_kind", ("bnf", "mfcc91")), ("mode", ("oracle-sad", "no-sad"))):
             if getattr(self, key) not in choices:
                 raise ValueError(f"{key} must be one of {', '.join(choices)}, got {getattr(self, key)!r}")
-        for key, low in (
-            ("bottleneck_dim", 1), ("epochs", 1), ("batch_size", 1), ("n_speakers", 2),
-            ("initial_states", 1), ("components_per_initial_segment", 1), ("seed", 0),
-        ):  # fmt: skip
+        for key, low in (("n_speakers", 2), ("initial_states", 1), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         # Every comparison below is also false for NaN.
         for key, ok, rule in (
             # The hop rounds to at least one sample, and the longer window then does too.
             ("sample_rate", self.sample_rate * HOP_SEC > 0.5, f"leave the {HOP_SEC:g} s hop at least one sample"),
-            ("corruption_level", 0.0 <= self.corruption_level <= 1.0, "lie in [0, 1]"),
-            ("learning_rate", 0.0 < self.learning_rate < math.inf, "be positive and finite"),
             ("min_duration_sec", 0.0 < self.min_duration_sec < math.inf, "be positive and finite"),
         ):
             if not ok:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import Config
 from .features import FeatureMatrix
 
 MODEL_MAGIC = b"SDAE"
@@ -27,7 +26,16 @@ ACTIVATIONS = ("tanh", "sigmoid", "sigmoid", "linear")
 # recorded, so no parameter depends on the sample.
 CLEAN_LOSS_ROWS = 512
 
+# The training recipe, the same for both autoencoders.
+BOTTLENECK_DIM = 21
+CORRUPTION_LEVEL = 0.2  # std of the additive Gaussian noise
+# The loss sums squared error over every input dim (1001 for 7 spliced
+# channels), so the step has to be small: at 0.01 SGD is chaotic and the
+# trained features follow the BLAS summation order, i.e. the thread count.
+LEARNING_RATE = 0.001
 MOMENTUM = 0.05  # fraction of the previous SGD step each step keeps
+EPOCHS = 10
+BATCH_SIZE = 256
 
 
 @dataclass
@@ -145,7 +153,7 @@ def loss_and_grads(
     return loss, grads_w[::-1], grads_b[::-1]
 
 
-def _train_single_dae(X, n_hidden, acts, cfg: Config, rng):
+def _train_single_dae(X, n_hidden, acts, rng):
     n, n_in = X.shape
     w_enc, b_enc = _init_layer(n_in, n_hidden, rng)
     w_dec, b_dec = _init_layer(n_hidden, n_in, rng)
@@ -160,20 +168,20 @@ def _train_single_dae(X, n_hidden, acts, cfg: Config, rng):
         return float(np.square(diff, out=diff).sum() / len(sample))
 
     losses = [clean_loss()]
-    for epoch in range(cfg.epochs):
+    for epoch in range(EPOCHS):
         order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
+        for lo in range(0, n, BATCH_SIZE):
+            idx = order[lo : lo + BATCH_SIZE]
             clean = X[idx]
-            noisy = corrupt(clean, cfg.corruption_level, rng)
+            noisy = corrupt(clean, CORRUPTION_LEVEL, rng)
             loss, gw, gb = loss_and_grads(weights, biases, acts, noisy, clean)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"training diverged at epoch {epoch}, loss history so far: {losses}"
                 )
             for i in range(len(weights)):
-                vel_w[i] = MOMENTUM * vel_w[i] - cfg.learning_rate * gw[i]
-                vel_b[i] = MOMENTUM * vel_b[i] - cfg.learning_rate * gb[i]
+                vel_w[i] = MOMENTUM * vel_w[i] - LEARNING_RATE * gw[i]
+                vel_b[i] = MOMENTUM * vel_b[i] - LEARNING_RATE * gb[i]
                 weights[i] += vel_w[i]
                 biases[i] += vel_b[i]
             del gw, gb  # not held through the next step's forward pass
@@ -181,20 +189,20 @@ def _train_single_dae(X, n_hidden, acts, cfg: Config, rng):
     return (w_enc, b_enc), (w_dec, b_dec), losses
 
 
-def pretrain_stack(X: np.ndarray, cfg: Config, hidden_dim: int) -> Network:
+def pretrain_stack(X: np.ndarray, hidden_dim: int, seed: int) -> Network:
     """Greedy layer-wise pretraining: a tanh/linear autoencoder on the raw
     feature rows ``X``, then a sigmoid/sigmoid one on its codes down to
-    ``cfg.bottleneck_dim``. Deterministic given ``cfg.seed``; per-epoch clean
+    ``BOTTLENECK_DIM``. Deterministic given ``seed``; per-epoch clean
     reconstruction losses, measured on a fixed strided sample of the rows,
     are kept on the result.
     """
-    if len(X) < cfg.batch_size:
-        raise ValueError(f"need at least {cfg.batch_size} frames to train (got {len(X)})")
-    rng = np.random.default_rng(cfg.seed)
+    if len(X) < BATCH_SIZE:
+        raise ValueError(f"need at least {BATCH_SIZE} frames to train (got {len(X)})")
+    rng = np.random.default_rng(seed)
 
-    enc1, dec1, losses1 = _train_single_dae(X, hidden_dim, ACTIVATIONS[::3], cfg, rng)
+    enc1, dec1, losses1 = _train_single_dae(X, hidden_dim, ACTIVATIONS[::3], rng)
     codes = _layer(X, enc1[0], enc1[1], ACTIVATIONS[0])
-    enc2, dec2, losses2 = _train_single_dae(codes, cfg.bottleneck_dim, ACTIVATIONS[1:3], cfg, rng)
+    enc2, dec2, losses2 = _train_single_dae(codes, BOTTLENECK_DIM, ACTIVATIONS[1:3], rng)
 
     return Network(
         weights=[enc1[0], enc2[0], dec2[0], dec1[0]],

@@ -26,6 +26,7 @@ from .segments import DiarizationHypothesis
 # EM iterations a merge trial runs on the pooled frames.
 MERGE_REFINE_ITERS = 5
 EM_ITERS = 5  # segmental-EM passes (align + refit) per merge round, at most
+COMPONENTS_PER_SEGMENT = 2  # GMM components of each initial state (M_s)
 
 SELF_LOOP_PROB = 0.9  # see ``HmmModel``
 
@@ -243,6 +244,8 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
     segmental EM and greedy best-pair merging until the speaker-count target
     or no remaining pair improves the pooled likelihood. A round that does
     not stop merges two states, so at most ``initial_states + 1`` rounds run.
+    A run whose dropped states leave fewer speaker states than the target
+    stops with ``below_target_states``.
 
     Without a ``speech_mask`` (oracle-SAD mode) ``X`` holds speech frames
     only, with ``frame_index`` mapping rows back to their original frames.
@@ -256,7 +259,7 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
     has_ns = X.speech_mask is not None
 
     T = max(1, int(round(cfg.min_duration_sec / HOP_SEC)))
-    m_s = cfg.components_per_initial_segment
+    m_s = COMPONENTS_PER_SEGMENT
 
     speech_rows = np.flatnonzero(X.speech_mask) if has_ns else np.arange(X.n_frames)
     if has_ns:
@@ -325,6 +328,8 @@ def diarize(X: FeatureMatrix, cfg: Config) -> tuple[DiarizationHypothesis, dict]
         new_states = [merged if k == a else g for k, g in enumerate(model.states) if k != b]
         model = HmmModel(states=new_states, min_dur_frames=T)
 
+    if n_speaker_states < cfg.n_speakers:  # states that lost all their frames took it below
+        stop_reason = "below_target_states"
     names = [f"spk{k}" for k in range(n_speaker_states)]
     segs = _segments_from_labels(labels, frame_index, names)
     hyp = DiarizationHypothesis(segs)

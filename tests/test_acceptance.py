@@ -15,7 +15,7 @@ import pytest
 
 from diarkit import audio_io, dae, dominance, gmm, scoring, wpe
 from diarkit.config import Config
-from diarkit.diarizer import HmmModel, diarize, segmental_em, viterbi_path
+from diarkit.diarizer import COMPONENTS_PER_SEGMENT, HmmModel, diarize, segmental_em, viterbi_path
 from diarkit.features import FeatureMatrix
 from diarkit.segments import DiarizationHypothesis
 from operating_points import cell, session
@@ -51,7 +51,7 @@ def test_criterion_1_end_to_end_der(end_to_end):
     seconds = end_to_end["oracle_seconds"]
     ns_der = end_to_end["no_sad"].der
     cfg = Config(n_speakers=4)
-    defaults_ok = cfg.initial_states == 12 and cfg.components_per_initial_segment == 2
+    defaults_ok = cfg.initial_states == 12 and COMPONENTS_PER_SEGMENT == 2
     ok = der <= 0.15 and seconds <= 300.0 and ns_der >= der - 0.01 and defaults_ok
     _report(
         1,
@@ -104,7 +104,7 @@ def test_criterion_3_em_monotonicity():
     _report(3, ok, f"min GMM LL step {worst_gmm:.2e} >= -1e-8; min path step {worst_path:.2e} >= -1e-6")
 
 
-def test_criterion_4_dae_gradients_and_compression():
+def test_criterion_4_dae_gradients_and_compression(monkeypatch):
     net = random_network(7, 4, 2, seed=42)
     rng = np.random.default_rng(7)
     X = rng.normal(size=(6, 7))
@@ -130,8 +130,10 @@ def test_criterion_4_dae_gradients_and_compression():
     rng2 = np.random.default_rng(0)
     direction = rng2.normal(size=24)
     X1 = rng2.normal(size=(600, 1)) * direction
-    cfg = Config(corruption_level=0.0, epochs=5, batch_size=64, learning_rate=0.02, seed=0, bottleneck_dim=3)
-    trained = dae.pretrain_stack(X1, cfg, hidden_dim=8)
+    recipe = {"CORRUPTION_LEVEL": 0.0, "EPOCHS": 5, "BATCH_SIZE": 64, "LEARNING_RATE": 0.02, "BOTTLENECK_DIM": 3}
+    for name, value in recipe.items():
+        monkeypatch.setattr(dae, name, value)
+    trained = dae.pretrain_stack(X1, hidden_dim=8, seed=0)
     losses = trained.train_losses[0]
     ratio = losses[-1] / losses[0]
     ok = worst < 1e-4 and n_checked >= 20 and ratio < 0.25

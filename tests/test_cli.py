@@ -126,7 +126,8 @@ def test_diarize_end_to_end_mfcc(synth_dir, tmp_path):
     assert der <= 0.30
 
 
-def test_diarize_bnf_with_model_reuse(synth_dir, tmp_path):
+def test_diarize_bnf_with_model_reuse(synth_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(dae, "EPOCHS", 2)
     out = str(tmp_path / "hyp.rttm")
     model = str(tmp_path / "net.sdae")
     args = [
@@ -136,8 +137,6 @@ def test_diarize_bnf_with_model_reuse(synth_dir, tmp_path):
         "--sad",
         os.path.join(synth_dir, "sad.txt"),
         "--speakers",
-        "2",
-        "--epochs",
         "2",
         "--dae-model",
         model,
@@ -403,7 +402,7 @@ def test_features_dump_command(synth_dir, tmp_path):
 def test_config_file_and_flag_precedence(synth_dir, tmp_path):
     cfg_path = str(tmp_path / "run.cfg")
     with open(cfg_path, "w") as fh:
-        fh.write("# pipeline overrides\nepochs = 1\nmin_duration_sec = 1.0\n")
+        fh.write("# pipeline overrides\nseed = 4\nmin_duration_sec = 1.0\n")
     out = str(tmp_path / "hyp.rttm")
     rc = cli.main(
         [
@@ -425,16 +424,18 @@ def test_config_file_and_flag_precedence(synth_dir, tmp_path):
     )
     assert rc == 0
     meta = json.loads(open(out.replace(".rttm", ".meta.jsonl")).read())
-    assert meta["config"]["epochs"] == 1  # from file
+    assert meta["config"]["seed"] == 4  # from file
     assert meta["config"]["min_duration_sec"] == 0.5  # flag wins
 
 
-# The fixed front end and frame grid, the DAE momentum, the HMM self-loop
-# probability and the EM budget, each at the value its module keeps as a
-# constant.
+# The fixed front end and frame grid, the DAE recipe, the HMM self-loop
+# probability, the EM budget and the GMM size of an initial state, each at
+# the value its module keeps as a constant.
 CONSTANT_LINES = [
     "pre_emphasis = 0.97", "n_mels = 26", "n_coeffs = 13", "splice_left = 5", "splice_right = 5",
     "window_sec = 0.025", "hop_sec = 0.01", "momentum = 0.05", "self_loop_prob = 0.9", "em_iters = 5",
+    "bottleneck_dim = 21", "corruption_level = 0.2", "learning_rate = 0.001", "epochs = 10",
+    "batch_size = 256", "components_per_initial_segment = 2",
 ]  # fmt: skip
 
 
@@ -483,56 +484,23 @@ def test_config_unknown_key_rejected(synth_dir, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("command", ["synth", "diarize"])
-def test_malformed_env_seed_exits_2(script_file, tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setenv("DIARKIT_SEED", "abc")
-    wav = tmp_path / "never_read.wav"
-    wav.write_bytes(b"")
-    argv = {
-        "synth": ["synth", script_file, str(tmp_path / "out")],
-        "diarize": ["diarize", str(wav), "--sad", str(wav), "--out", str(tmp_path / "x.rttm")],
-    }[command]
-    assert cli.main(argv) == 2
-    assert "DIARKIT_SEED" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["synth", "diarize"])
-def test_negative_env_seed_exits_2(script_file, tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setenv("DIARKIT_SEED", "-3")
-    wav = tmp_path / "never_read.wav"
-    wav.write_bytes(b"")
-    out = tmp_path / "out"
-    argv = {
-        "synth": ["synth", script_file, str(out)],
-        "diarize": ["diarize", str(wav), "--sad", str(wav), "--out", str(out)],
-    }[command]
-    assert cli.main(argv) == 2
-    assert "seed must be >= 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_env_seed_override(script_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("DIARKIT_SEED", "77")
-    a = str(tmp_path / "a")
-    assert cli.main(["synth", script_file, a, "--channels", "1"]) == 0
-    monkeypatch.setenv("DIARKIT_SEED", "78")
-    b = str(tmp_path / "b")
-    assert cli.main(["synth", script_file, b, "--channels", "1"]) == 0
-    with open(os.path.join(a, "ch0.wav"), "rb") as f1, open(os.path.join(b, "ch0.wav"), "rb") as f2:
-        assert f1.read() != f2.read()
+def test_synth_seed_defaults_to_zero(script_file, tmp_path, monkeypatch):
+    # The seed has two homes, --seed and the config file; the environment
+    # is not one of them.
+    monkeypatch.setenv("DIARKIT_SEED", "1")
+    runs = {"default": [], "zero": ["--seed", "0"], "one": ["--seed", "1"]}
+    for name, flags in runs.items():
+        assert cli.main(["synth", script_file, str(tmp_path / name), "--channels", "1", *flags]) == 0
+    default, zero, one = ((tmp_path / name / "ch0.wav").read_bytes() for name in runs)
+    assert default == zero != one
 
 
 # ------------------------------------------------------------ config contract
 
-CONFIG_KEYS = {
-    "sample_rate", "feature_kind", "bottleneck_dim",
-    "corruption_level", "learning_rate", "epochs", "batch_size",
-    "n_speakers", "initial_states", "min_duration_sec", "components_per_initial_segment",
-    "mode", "seed",
-}  # fmt: skip
+CONFIG_KEYS = {"sample_rate", "feature_kind", "mode", "n_speakers", "min_duration_sec", "initial_states", "seed"}
 
 # Flags of the pipeline subcommands that name inputs and outputs, not keys.
-IO_DESTS = {"help", "audio", "sad", "config", "dae_model", "file_id", "meta", "out"}
+IO_DESTS = {"help", "audio", "sad", "config", "dae_model", "file_id", "out"}
 
 
 def _subparser(name):
@@ -562,13 +530,13 @@ def test_every_pipeline_flag_dest_is_a_config_key(command):
 
 
 def test_flags_set_their_keys(monkeypatch):
-    monkeypatch.delenv("DIARKIT_SEED", raising=False)
+    monkeypatch.setenv("DIARKIT_SEED", "7")  # not read: the default seed stays 0
     cfg = _parse(
         "diarize", "a.wav", "--no-sad", "--speakers", "3", "--min-dur", "0.7", "--initial-states", "10",
-        "--components", "3", "--features", "mfcc91", "--epochs", "2", "--seed", "5", "--out", "x.rttm",
+        "--features", "mfcc91", "--seed", "5", "--out", "x.rttm",
     )  # fmt: skip
     assert (cfg.mode, cfg.n_speakers, cfg.min_duration_sec, cfg.initial_states) == ("no-sad", 3, 0.7, 10)
-    assert (cfg.components_per_initial_segment, cfg.feature_kind, cfg.epochs, cfg.seed) == (3, "mfcc91", 2, 5)
+    assert (cfg.feature_kind, cfg.seed) == ("mfcc91", 5)
     assert _parse("diarize", "a.wav", "--out", "x.rttm") == Config()
 
 
@@ -583,11 +551,9 @@ def test_stage_flag_beats_config_file(tmp_path):
 # One bad value per line: each must exit 2 from the CLI and raise a
 # ValueError naming its key from Config itself.
 BAD_CONFIG_LINES = [
-    "learning_rate = -1", "min_duration_sec = 0", "sample_rate = 0", "sample_rate = 40", "bottleneck_dim = 0",
-    "initial_states = 0", "components_per_initial_segment = 0",
-    "epochs = 0", "epochs = -1", "batch_size = 0",
-    "min_duration_sec = nan", "min_duration_sec = inf", "learning_rate = nan",
-    "n_speakers = 1", "corruption_level = 1.5", "feature_kind = wav", "mode = vad", "seed = -1",
+    "min_duration_sec = 0", "sample_rate = 0", "sample_rate = 40", "initial_states = 0",
+    "min_duration_sec = nan", "min_duration_sec = inf",
+    "n_speakers = 1", "feature_kind = wav", "mode = vad", "seed = -1",
 ]  # fmt: skip
 
 # Keys Config no longer has: a line setting one is refused as an unknown key,
@@ -596,6 +562,8 @@ GONE_KEY_LINES = [
     "n_fft = 8", "max_outer_iters = -1", "self_loop_prob = 1.5", "splice_left = -7", "splice_right = -1",
     "momentum = 1", "momentum = -0.1", "n_coeffs = 0", "n_coeffs = 40", "n_mels = 0", "pre_emphasis = nan",
     "window_sec = 0", "hop_sec = 0", "hop_sec = -0.01", "em_iters = -2",
+    "learning_rate = -1", "learning_rate = nan", "bottleneck_dim = 0", "components_per_initial_segment = 0",
+    "epochs = 0", "epochs = -1", "batch_size = 0", "corruption_level = 1.5",
     *CONSTANT_LINES,
 ]  # fmt: skip
 
@@ -640,13 +608,11 @@ def test_dominance_bad_window_or_rate_exits_2(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dims", [(286, 21), (100, 8)], ids=["bottleneck", "input"])
+@pytest.mark.parametrize("dims", [(286, 8), (100, 21)], ids=["bottleneck", "input"])
 def test_dae_model_must_fit_the_config(synth_dir, tmp_path, capsys, dims):
-    # Two channels of 13 MFCCs spliced +-5 frames: the config needs 286 -> 8.
+    # Two channels of 13 MFCCs spliced +-5 frames: the session needs 286 -> 21.
     model = str(tmp_path / "net.sdae")
     Path(model).write_bytes(dae.network_bytes(random_network(dims[0], 26, dims[1], seed=0)))
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("bottleneck_dim = 8\n")
     out = tmp_path / "hyp.rttm"
     rc = cli.main(
         [
@@ -659,8 +625,6 @@ def test_dae_model_must_fit_the_config(synth_dir, tmp_path, capsys, dims):
             "2",
             "--dae-model",
             model,
-            "--config",
-            str(cfg_path),
             "--out",
             str(out),
         ]
@@ -704,7 +668,11 @@ def test_missing_sad_or_config_file_exits_2(tmp_path, capsys, flag):
      ("synth", "--snr-db", "inf", "--snr-db"), ("synth", "--snr-db", "-inf", "--snr-db"),
      ("synth", "--seed", "-1", "seed"), ("diarize", "--seed", "-1", "seed"),
      ("synth", "--file-id", "", "--file-id"), ("synth", "--file-id", "a b", "--file-id"),
-     ("diarize", "--file-id", "", "--file-id"), ("diarize", "--file-id", "a\tb", "--file-id")],
+     ("diarize", "--file-id", "", "--file-id"), ("diarize", "--file-id", "a\tb", "--file-id"),
+     # Flags that are gone: the DAE epochs and GMM size are constants, and
+     # the meta JSONL is always written beside the --out RTTM.
+     ("diarize", "--epochs", "1", "--epochs"), ("diarize", "--components", "2", "--components"),
+     ("diarize", "--meta", "m.jsonl", "--meta")],
 )  # fmt: skip
 def test_usage_errors_exit_2(script_file, tmp_path, capsys, command, flag, value, named):
     empty = tmp_path / "never_read"
@@ -745,9 +713,10 @@ def test_non_finite_audio_exits_1_naming_the_file(tmp_path, capsys, command):
 # ------------------------------------------------------------ write policy
 
 
-def test_every_output_gets_the_umask_mode(tmp_path):
+def test_every_output_gets_the_umask_mode(tmp_path, monkeypatch):
     # Each file a subcommand writes is created the way open(path, "w")
     # creates it: mode 0666 less the umask.
+    monkeypatch.setattr(dae, "EPOCHS", 1)
     script = tmp_path / "session.json"
     script.write_text(audio_io.demo_script(2, 20.0, seed=5).to_json())
     out = tmp_path / "out"
@@ -755,8 +724,7 @@ def test_every_output_gets_the_umask_mode(tmp_path):
     sad, ref, hyp = str(out / "synth" / "sad.txt"), str(out / "synth" / "ref.rttm"), str(out / "hyp.rttm")
     runs = [
         ["synth", str(script), str(out / "synth"), "--channels", "2", "--seed", "3"],
-        ["diarize", *wavs, "--sad", sad, "--speakers", "2", "--epochs", "1", "--dae-model", str(out / "net.bin"),
-         "--out", hyp],
+        ["diarize", *wavs, "--sad", sad, "--speakers", "2", "--dae-model", str(out / "net.bin"), "--out", hyp],
         ["score", "--ref", ref, "--hyp", hyp, "--json", str(out / "der.json")],
         ["dominance", "--hyp", hyp, "--audio", wavs[0], "--out", str(out / "dom.csv")],
         ["features", *wavs, "--sad", sad, "--stage", "mfcc91", "--out", str(out / "f.bin")],
@@ -782,7 +750,9 @@ def test_failed_model_save_leaves_no_file(synth_dir, tmp_path):
     model = tmp_path / "m.bin"
     wavs = [os.path.join(synth_dir, f"ch{c}.wav") for c in range(2)]
     sad = os.path.join(synth_dir, "sad.txt")
-    argv = [sys.executable, "-m", "diarkit.cli", "diarize", *wavs, "--sad", sad, "--speakers", "2", "--epochs", "1"]
+    # One training epoch, so the child trains fast.
+    main = "import sys; from diarkit import cli, dae; dae.EPOCHS = 1; sys.exit(cli.main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", main, "diarize", *wavs, "--sad", sad, "--speakers", "2"]
     argv += ["--dae-model", str(model), "--out", str(tmp_path / "hyp.rttm")]
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from diarkit import dae
-from diarkit.config import Config
 from diarkit.dae import bottleneck, corrupt, load_network, network_bytes, pretrain_stack
 from diarkit.features import FeatureMatrix
 
@@ -23,6 +22,18 @@ def random_network(input_dim, hidden_dim, bottleneck_dim, seed):
         weights.append(w)
         biases.append(rng.normal(0.0, 0.1, size=b.shape))
     return dae.Network(weights=weights, biases=biases)
+
+
+@pytest.fixture
+def recipe(monkeypatch):
+    """Sets ``dae``'s training constants for one test, by lower-case name:
+    ``recipe(epochs=2, batch_size=64)``. Small data needs small networks."""
+
+    def set_constants(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(dae, name.upper(), value)
+
+    return set_constants
 
 
 def test_corrupt_level_zero_identity():
@@ -95,28 +106,29 @@ def rank_one_features(n=600, dim=24, seed=0):
     return scalars * direction
 
 
-def test_rank_one_data_is_compressible():
+def test_rank_one_data_is_compressible(recipe):
     X = rank_one_features()
-    cfg = Config(corruption_level=0.0, epochs=5, batch_size=64, learning_rate=0.02, bottleneck_dim=3)
-    net = pretrain_stack(X, cfg, hidden_dim=8)
+    recipe(corruption_level=0.0, epochs=5, batch_size=64, learning_rate=0.02, bottleneck_dim=3)
+    net = pretrain_stack(X, hidden_dim=8, seed=0)
     losses = net.train_losses[0]
     assert losses[-1] < 0.25 * losses[0]
 
 
-def test_pretrain_deterministic():
+def test_pretrain_deterministic(recipe):
     X = rank_one_features(seed=1)
-    cfg = Config(epochs=2, batch_size=64, seed=5, bottleneck_dim=3)
-    n1 = pretrain_stack(X, cfg, hidden_dim=8)
-    n2 = pretrain_stack(X, cfg, hidden_dim=8)
+    recipe(epochs=2, batch_size=64, bottleneck_dim=3)
+    n1 = pretrain_stack(X, hidden_dim=8, seed=5)
+    n2 = pretrain_stack(X, hidden_dim=8, seed=5)
     for w1, w2 in zip(n1.weights, n2.weights):
         assert np.array_equal(w1, w2)
 
 
-def test_clean_loss_matches_loss_and_grads_exactly():
+def test_clean_loss_matches_loss_and_grads_exactly(recipe):
     # The per-epoch clean loss is a forward-only pass; it must be the very
     # value the training step's loss_and_grads gives on the same weights.
     X = rank_one_features(n=300, dim=12, seed=4)
-    net = pretrain_stack(X, Config(epochs=2, batch_size=64, seed=3, bottleneck_dim=3), hidden_dim=6)
+    recipe(epochs=2, batch_size=64, bottleneck_dim=3)
+    net = pretrain_stack(X, hidden_dim=6, seed=3)
     w, b = net.weights, net.biases
     first, _, _ = dae.loss_and_grads([w[0], w[3]], [b[0], b[3]], ["tanh", "linear"], X, X)
     codes = np.tanh(X @ w[0] + b[0])
@@ -125,11 +137,12 @@ def test_clean_loss_matches_loss_and_grads_exactly():
     assert net.train_losses[1][-1] == second
 
 
-def test_clean_loss_uses_a_fixed_strided_sample():
+def test_clean_loss_uses_a_fixed_strided_sample(recipe):
     # 2000 rows: the clean loss reads every 2000 // 512 = 3rd row, taken
     # without drawing from the training stream.
     X = rank_one_features(n=2000, dim=12, seed=4)
-    net = pretrain_stack(X, Config(epochs=1, batch_size=256, seed=3, bottleneck_dim=3), hidden_dim=6)
+    recipe(epochs=1, bottleneck_dim=3)
+    net = pretrain_stack(X, hidden_dim=6, seed=3)
     w, b = net.weights, net.biases
     first, _, _ = dae.loss_and_grads([w[0], w[3]], [b[0], b[3]], ["tanh", "linear"], X[::3], X[::3])
     codes = np.tanh(X @ w[0] + b[0])
@@ -138,11 +151,11 @@ def test_clean_loss_uses_a_fixed_strided_sample():
     assert net.train_losses[1][-1] == second
 
 
-def test_training_loss_mostly_non_increasing():
+def test_training_loss_mostly_non_increasing(recipe):
     rng = np.random.default_rng(11)
     X = rng.normal(size=(512, 16)) @ rng.normal(size=(16, 16)) * 0.5
-    cfg = Config(corruption_level=0.1, epochs=10, batch_size=64, seed=2, bottleneck_dim=4)
-    net = pretrain_stack(X, cfg, hidden_dim=8)
+    recipe(corruption_level=0.1, batch_size=64, bottleneck_dim=4)
+    net = pretrain_stack(X, hidden_dim=8, seed=2)
     for losses in net.train_losses:
         diffs = np.diff(losses)
         assert (diffs <= 1e-12).mean() >= 0.8, losses
@@ -150,20 +163,20 @@ def test_training_loss_mostly_non_increasing():
 
 def test_pretrain_needs_enough_frames():
     with pytest.raises(ValueError, match="frames"):
-        pretrain_stack(np.zeros((10, 4)), Config(batch_size=256), hidden_dim=3)
+        pretrain_stack(np.zeros((10, 4)), hidden_dim=3, seed=0)
 
 
-def test_divergence_aborts_with_diagnostics():
+def test_divergence_aborts_with_diagnostics(recipe):
     X = rank_one_features(n=300, dim=10, seed=9) * 100
-    cfg = Config(learning_rate=1e6, epochs=10, batch_size=64, bottleneck_dim=2)
+    recipe(learning_rate=1e6, batch_size=64, bottleneck_dim=2)
     with pytest.raises(RuntimeError, match="diverged"), np.errstate(all="ignore"):
-        pretrain_stack(X, cfg, hidden_dim=6)
+        pretrain_stack(X, hidden_dim=6, seed=0)
 
 
-def test_bottleneck_dims_and_range():
+def test_bottleneck_dims_and_range(recipe):
     X = rank_one_features(n=400, dim=20, seed=3)
-    cfg = Config(epochs=2, batch_size=64, bottleneck_dim=5)
-    net = pretrain_stack(X, cfg, hidden_dim=10)
+    recipe(epochs=2, batch_size=64, bottleneck_dim=5)
+    net = pretrain_stack(X, hidden_dim=10, seed=0)
     f = FeatureMatrix(X)
     out = bottleneck(net, f)
     assert out.dim == 5
@@ -182,7 +195,7 @@ def wide_features(n, dim=1001, rank=3, seed=0):
 
 def test_bottleneck_not_saturated_on_wide_input():
     X = wide_features(2048)
-    out = pretrain_stack(X, Config(), hidden_dim=91).encode(X)
+    out = pretrain_stack(X, hidden_dim=91, seed=0).encode(X)
     saturated = ((out < 0.01) | (out > 0.99)).mean()
     assert saturated <= 0.05, saturated
 
@@ -190,10 +203,9 @@ def test_bottleneck_not_saturated_on_wide_input():
 _TRAIN_IN_CHILD = """
 import sys
 import numpy as np
-from diarkit.config import Config
 from diarkit.dae import pretrain_stack
 X = np.load(sys.argv[1])
-np.save(sys.argv[2], pretrain_stack(X, Config(), hidden_dim=91).encode(X))
+np.save(sys.argv[2], pretrain_stack(X, hidden_dim=91, seed=0).encode(X))
 """
 
 
@@ -221,9 +233,10 @@ def test_bottleneck_independent_of_blas_threads(tmp_path):
     assert np.abs(one - two).max() <= 1e-9
 
 
-def test_bottleneck_rowwise_stateless():
+def test_bottleneck_rowwise_stateless(recipe):
     X = rank_one_features(n=300, dim=12, seed=4)
-    net = pretrain_stack(X, Config(epochs=1, batch_size=64, seed=1, bottleneck_dim=2), hidden_dim=6)
+    recipe(epochs=1, batch_size=64, bottleneck_dim=2)
+    net = pretrain_stack(X, hidden_dim=6, seed=1)
     f = FeatureMatrix(np.vstack([X[:5], X[:5]]))
     out = bottleneck(net, f).data
     np.testing.assert_array_equal(out[:5], out[5:])

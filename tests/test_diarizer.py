@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from diarkit import config, diarizer, gmm
+from diarkit import cli, config, diarizer, gmm
+from diarkit.audio_io import MultiStreamAudio
 from diarkit.config import Config
 from diarkit.diarizer import (
     SELF_LOOP_PROB,
@@ -16,6 +18,7 @@ from diarkit.diarizer import (
 )
 from diarkit.features import FeatureMatrix
 from diarkit.gmm import Gmm
+from operating_points import cell, session
 
 
 def enumerate_best_path(logb, min_dur, self_loop):
@@ -490,7 +493,7 @@ def test_diarize_no_sad_drops_a_starved_non_speech_state():
 def test_config_defaults_and_range_warning():
     cfg = Config(n_speakers=4)
     assert cfg.initial_states == 12
-    assert cfg.components_per_initial_segment == 2
+    assert diarizer.COMPONENTS_PER_SEGMENT == 2
     assert cfg.min_duration_sec == 0.5
     with pytest.warns(UserWarning, match="recommended"):
         Config(n_speakers=2, initial_states=30)
@@ -508,3 +511,41 @@ def test_diarize_min_duration_invariant():
     durations = [end - start for start, end, _ in hyp.segments]
     for d in durations[:-1]:
         assert d >= T * 0.010 - 0.010 - 1e-9
+
+
+def test_diarize_reports_a_run_that_ends_below_the_target():
+    # Criterion 1's session, first 30 s: segmental EM drops a state in
+    # rounds 3 and 7, so merging to 4 ends at 3 speaker states.
+    [(_, _, meta)] = cell(*session(30.0), Config(n_speakers=4, feature_kind="mfcc91", seed=3), [1.0])
+    assert [d["round"] for d in meta["dropped_states"]] == [3, 7]
+    assert meta["final_speaker_states"] == 3
+    assert meta["stop_reason"] == "below_target_states"
+
+
+@pytest.mark.parametrize("feature_kind", ["mfcc91", "bnf"])
+def test_frame_times_follow_a_prefix_of_whole_hops(feature_kind):
+    # Every channel gets a copy of its own first 0.8 s (80 hops) in front,
+    # and every SAD segment moves by 0.8 s. The oracle-SAD features are the
+    # same bits on frames 80 later, so the merges are the same and every
+    # output segment moves by exactly the prefix. Segments are compared, not
+    # RTTM text: a boundary on the 3-decimal rounding edge can move by 1 ms.
+    audio, _, sad = session(30.0)
+    hops = 80
+    shift = hops * config.HOP_SEC
+    n = round(shift * audio.sample_rate)
+    shifted = MultiStreamAudio([np.concatenate([ch[:n], ch]) for ch in audio.channels], audio.sample_rate)
+    cfg = Config(n_speakers=4, feature_kind=feature_kind, seed=3)
+    runs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for a, segments in ((audio, sad), (shifted, [(s + shift, e + shift) for s, e in sad])):
+            feats, _ = cli.extract_session_features(a, segments, cfg)
+            runs.append((feats, *diarize(feats, cfg)))
+    (f0, h0, m0), (f1, h1, m1) = runs
+    assert f1.data.tobytes() == f0.data.tobytes()
+    assert np.array_equal(f1.frame_index, f0.frame_index + hops)
+    assert m1["merge_trace"] == m0["merge_trace"]
+    assert len(h1.segments) == len(h0.segments) > 0
+    for (s0, e0, lab0), (s1, e1, lab1) in zip(h0.segments, h1.segments):
+        assert lab1 == lab0
+        assert abs(s1 - s0 - shift) <= 1e-9 and abs(e1 - e0 - shift) <= 1e-9
