@@ -2,18 +2,25 @@
 
 Exit codes: 0 success, 1 runtime failure inside a module, 2 usage or
 validation error. Every file a subcommand writes is written atomically
-(temp file + rename), with the mode the umask gives a new file.
+(temp file + rename), with the mode the umask gives a new file. Every
+subcommand runs with numpy's OpenBLAS at one thread, which leaves the
+second core to the DAE's noise draws; the caller's count is restored on
+return.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -85,6 +92,51 @@ def _atomic_write(path: str, payload: str | bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+@functools.cache
+def openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS numpy loaded (a
+    library under ``numpy.libs``), or None when numpy has none there."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            try:
+                get, set_ = (getattr(handle, symbol.format(verb)) for verb in ("get", "set"))
+            except AttributeError:
+                continue
+            get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    api = openblas_threads()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
+
+
+def numeric_environment() -> dict:
+    """The numpy version, its BLAS, and the live OpenBLAS thread count (None
+    when ``openblas_threads`` finds no OpenBLAS)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name")
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        blas = None
+    api = openblas_threads()
+    return {"numpy": np.__version__, "blas": blas, "blas_threads": None if api is None else api[0]()}
 
 
 def extract_session_features(
@@ -201,6 +253,7 @@ def cmd_diarize(args) -> int:
         _atomic_write(args.dae_model, dae.network_bytes(net))
 
     hyp, meta = diarize(feats, cfg)
+    meta["environment"] = numeric_environment()
     file_id = args.file_id or re.sub(r"\s+", "_", os.path.splitext(os.path.basename(args.out))[0])
     _atomic_write(args.out, rttm_format(hyp, file_id=file_id))
     _atomic_write(os.path.splitext(args.out)[0] + ".meta.jsonl", json.dumps(meta) + "\n")
@@ -320,7 +373,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ features. Plain numpy, mini-batch gradient descent with momentum.
 from __future__ import annotations
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +37,9 @@ LEARNING_RATE = 0.001
 MOMENTUM = 0.05  # fraction of the previous SGD step each step keeps
 EPOCHS = 10
 BATCH_SIZE = 256
+# Rows per ``corrupt`` call on the drawing thread: numpy's normal draw holds
+# the GIL, so short slices let the training thread run between them.
+DRAW_ROWS = 32
 
 
 @dataclass
@@ -137,8 +141,10 @@ def loss_and_grads(
 ):
     """Mean (over batch) summed squared reconstruction error and its
     gradients for a feed-forward chain of any depth. Each delta is formed in
-    the buffer of the error or product it scales."""
+    the buffer of the error or product it scales, and the target is let go
+    once the error is formed."""
     acts, diff = _forward(weights, biases, activations, x_in, x_target)
+    del x_target
     loss = float((diff**2).sum() / len(x_in))
     grads_w, grads_b = [], []
     delta = np.multiply(2.0 / len(x_in), diff, out=diff)
@@ -153,7 +159,25 @@ def loss_and_grads(
     return loss, grads_w[::-1], grads_b[::-1]
 
 
+def _noisy_batches(X, rng):
+    """Every epoch's ``permutation`` of the rows, then each mini-batch's rows
+    and their corrupted copy, drawn ``DRAW_ROWS`` rows at a time: one
+    sequential stream with the bits of one ``corrupt`` call per batch."""
+    n = len(X)
+    for _ in range(EPOCHS):
+        order = rng.permutation(n)
+        for lo in range(0, n, BATCH_SIZE):
+            idx = order[lo : lo + BATCH_SIZE]
+            noisy = np.empty((len(idx), X.shape[1]))
+            for a in range(0, len(idx), DRAW_ROWS):
+                noisy[a : a + DRAW_ROWS] = corrupt(X[idx[a : a + DRAW_ROWS]], CORRUPTION_LEVEL, rng)
+            yield idx, noisy
+
+
 def _train_single_dae(X, n_hidden, acts, rng):
+    """Mini-batch SGD with momentum. After the two initial weight draws the
+    rng belongs to one worker thread, which draws the next batch's noise
+    while this thread runs the current step's products."""
     n, n_in = X.shape
     w_enc, b_enc = _init_layer(n_in, n_hidden, rng)
     w_dec, b_dec = _init_layer(n_hidden, n_in, rng)
@@ -168,24 +192,29 @@ def _train_single_dae(X, n_hidden, acts, rng):
         return float(np.square(diff, out=diff).sum() / len(sample))
 
     losses = [clean_loss()]
-    for epoch in range(EPOCHS):
-        order = rng.permutation(n)
-        for lo in range(0, n, BATCH_SIZE):
-            idx = order[lo : lo + BATCH_SIZE]
-            clean = X[idx]
-            noisy = corrupt(clean, CORRUPTION_LEVEL, rng)
-            loss, gw, gb = loss_and_grads(weights, biases, acts, noisy, clean)
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"training diverged at epoch {epoch}, loss history so far: {losses}"
-                )
-            for i in range(len(weights)):
-                vel_w[i] = MOMENTUM * vel_w[i] - LEARNING_RATE * gw[i]
-                vel_b[i] = MOMENTUM * vel_b[i] - LEARNING_RATE * gb[i]
-                weights[i] += vel_w[i]
-                biases[i] += vel_b[i]
-            del gw, gb  # not held through the next step's forward pass
-        losses.append(clean_loss())
+    batches = _noisy_batches(X, rng)
+    with ThreadPoolExecutor(max_workers=1) as drawer:
+        pending = drawer.submit(next, batches)
+        for epoch in range(EPOCHS):
+            for _ in range(0, n, BATCH_SIZE):
+                idx, noisy = pending.result()
+                # One batch ahead, so two noisy batches are held at a time;
+                # past the last one the stream ends with no further draw.
+                pending = drawer.submit(next, batches, None)
+                loss, gw, gb = loss_and_grads(weights, biases, acts, noisy, X[idx])
+                if not np.isfinite(loss):
+                    raise RuntimeError(
+                        f"training diverged at epoch {epoch}, loss history so far: {losses}"
+                    )
+                for i in range(len(weights)):  # v = MOMENTUM * v - LEARNING_RATE * g, in place
+                    vel_w[i] *= MOMENTUM
+                    vel_w[i] -= np.multiply(gw[i], LEARNING_RATE, out=gw[i])
+                    vel_b[i] *= MOMENTUM
+                    vel_b[i] -= np.multiply(gb[i], LEARNING_RATE, out=gb[i])
+                    weights[i] += vel_w[i]
+                    biases[i] += vel_b[i]
+                del gw, gb  # not held through the next step's forward pass
+            losses.append(clean_loss())
     return (w_enc, b_enc), (w_dec, b_dec), losses
 
 

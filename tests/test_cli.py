@@ -121,9 +121,33 @@ def test_diarize_end_to_end_mfcc(synth_dir, tmp_path):
     meta = json.loads(open(meta_path).read())
     assert meta["target_speakers"] == 2
     assert meta["config"]["feature_kind"] == "mfcc91"
+    assert set(meta["environment"]) == {"numpy", "blas", "blas_threads"}
     ref = rttm_read(os.path.join(synth_dir, "ref.rttm"))
     der = scoring.score_der(ref, hyp).der
     assert der <= 0.30
+
+
+@pytest.mark.skipif(cli.openblas_threads() is None, reason="numpy loaded no OpenBLAS that cli finds")
+@pytest.mark.parametrize("outcome, code", [(None, 0), (RuntimeError("boom"), 1), (cli.UsageError("bad"), 2)])
+def test_subcommands_run_at_one_blas_thread(monkeypatch, outcome, code):
+    get, set_ = cli.openblas_threads()
+    caller = get()
+    seen = []
+
+    def command(args):
+        seen.append(get())
+        if outcome is not None:
+            raise outcome
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_score", command)
+    try:
+        set_(2)
+        assert cli.main(["score", "--ref", "r.rttm", "--hyp", "h.rttm"]) == code
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        set_(caller)
 
 
 def test_diarize_bnf_with_model_reuse(synth_dir, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -169,8 +170,65 @@ def test_pretrain_needs_enough_frames():
 def test_divergence_aborts_with_diagnostics(recipe):
     X = rank_one_features(n=300, dim=10, seed=9) * 100
     recipe(learning_rate=1e6, batch_size=64, bottleneck_dim=2)
+    threads = threading.active_count()
     with pytest.raises(RuntimeError, match="diverged"), np.errstate(all="ignore"):
         pretrain_stack(X, hidden_dim=6, seed=0)
+    assert threading.active_count() == threads
+
+
+def test_training_batches_replay_one_serial_stream(recipe, monkeypatch):
+    # 300 rows in batches of 72: four full batches and one of 12 per epoch,
+    # and a full batch is drawn in slices of 32, 32 and 8 rows.
+    X = rank_one_features(n=300, dim=10, seed=6)
+    recipe(epochs=2, batch_size=72, bottleneck_dim=2)
+    drawn_on, trained = set(), []
+    real_corrupt, real_loss_and_grads = dae.corrupt, dae.loss_and_grads
+
+    def recording_corrupt(x, level, rng):
+        drawn_on.add(threading.get_ident())
+        return real_corrupt(x, level, rng)
+
+    def recording_loss_and_grads(weights, biases, activations, x_in, x_target):
+        trained.append((x_in.copy(), x_target.copy()))
+        return real_loss_and_grads(weights, biases, activations, x_in, x_target)
+
+    monkeypatch.setattr(dae, "corrupt", recording_corrupt)
+    monkeypatch.setattr(dae, "loss_and_grads", recording_loss_and_grads)
+    net = pretrain_stack(X, hidden_dim=6, seed=4)
+    assert drawn_on and threading.get_ident() not in drawn_on
+
+    rng, replay = np.random.default_rng(4), []
+    codes = np.tanh(X @ net.weights[0] + net.biases[0])
+    for rows, n_hidden in ((X, 6), (codes, 2)):
+        dae._init_layer(rows.shape[1], n_hidden, rng)
+        dae._init_layer(n_hidden, rows.shape[1], rng)
+        for _ in range(2):
+            order = rng.permutation(len(rows))
+            for lo in range(0, len(rows), 72):
+                clean = rows[order[lo : lo + 72]]
+                replay.append((real_corrupt(clean, dae.CORRUPTION_LEVEL, rng), clean))
+    assert len(trained) == len(replay) == 2 * 2 * 5
+    for (noisy, clean), (want_noisy, want_clean) in zip(trained, replay):
+        assert noisy.tobytes() == want_noisy.tobytes()
+        assert clean.tobytes() == want_clean.tobytes()
+
+
+# Call 20 is the second epoch's first slice, drawn while a step trains.
+@pytest.mark.parametrize("failing_call", [1, 20])
+def test_failed_draw_raises_and_stops_the_worker(monkeypatch, failing_call):
+    calls = []
+
+    def failing_corrupt(x, level, rng):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise ValueError("draw failed")
+        return x
+
+    monkeypatch.setattr(dae, "corrupt", failing_corrupt)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="draw failed"):
+        pretrain_stack(rank_one_features(n=600, dim=10, seed=2), hidden_dim=6, seed=0)
+    assert threading.active_count() == threads
 
 
 def test_bottleneck_dims_and_range(recipe):
